@@ -5,8 +5,11 @@ The paper measures 0.8 s average execution time per fitted quantity and
 takes 3 hours (HOP) to 5+ days (semphy) per application on real
 hardware.  On the simulator exhaustive search is trivially cheap — that
 is the documented substitution — so the comparison here is: LEO's fit
-time is sub-seconds-scale and its sampling energy is hundreds of Joules,
-both amortizable for applications running tens of seconds or longer.
+time is at most seconds-scale and its sampling energy is hundreds of
+Joules, both amortizable for applications running tens of seconds or
+longer.  The fit time is reported as a ratio to the paper's (two
+quantities at 0.8 s each); it has no lower bound, since the subspace
+E-step fits in milliseconds what the paper's runtime needed 0.8 s for.
 """
 
 from conftest import PAPER, save_results
@@ -28,8 +31,11 @@ def test_sec67_overhead(full_ctx, benchmark):
                      result.sampling_energy[name]])
     rows.append(["MEAN", result.mean_fit_seconds, "-",
                  result.mean_sampling_energy])
-    rows.append(["PAPER", 2 * PAPER["sec67_fit_seconds"], "-",
+    paper_fit_seconds = 2 * PAPER["sec67_fit_seconds"]
+    fit_ratio = result.mean_fit_seconds / paper_fit_seconds
+    rows.append(["PAPER", paper_fit_seconds, "-",
                  PAPER["sec67_energy_joules"]])
+    rows.append(["MEAN / PAPER", fit_ratio, "-", "-"])
     print()
     print(format_table(
         ["benchmark", "fit seconds (both quantities)",
@@ -42,10 +48,11 @@ def test_sec67_overhead(full_ctx, benchmark):
         "exhaustive_sweep_seconds": result.exhaustive_seconds,
         "paper_fit_seconds_per_quantity": PAPER["sec67_fit_seconds"],
         "paper_energy_joules": PAPER["sec67_energy_joules"],
+        "fit_seconds_ratio_to_paper": fit_ratio,
     })
 
-    # Same order of magnitude as the paper's 0.8 s per quantity.
-    assert 0.05 < result.mean_fit_seconds < 30.0
+    # Upper bound only: faster than the paper is not a failure.
+    assert result.mean_fit_seconds < 30.0
     # Sampling: 20 windows of 1 s at a few hundred Watts.
     assert 1000.0 < result.mean_sampling_energy < 10000.0
     # One-time cost: fit time is a tiny fraction of a minutes-long run.

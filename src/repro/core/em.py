@@ -12,20 +12,39 @@ inside the normalizer (see DESIGN.md section 2 for why the printed
 formula's placement cannot be literal).  Passing ``prior=None`` removes
 the NIW terms entirely, giving the exact maximum-likelihood M-step, under
 which EM's classic monotonicity guarantee holds and is property-tested.
+
+The fit runs in a subspace.  Every quantity of Eqs. (3)-(4) stays in one
+fixed subspace S of R^n, spanned by the fully observed rows, the unit
+vectors of every partially observed configuration, the initial mean,
+mu_0 and Psi's low-rank factor (docs/MATH.md, "Exact subspace E-step").
+With an orthonormal basis Q (n x r) of S the engine holds
+
+    Sigma = Q B Q' + c (I - Q Q')
+
+and updates only the r x r matrix B and the scalar c; means live in
+S-coordinates and are lifted back to n dimensions once, at the end.  A
+dense ``init_sigma`` or dense-matrix Psi makes S all of R^n (Q = I).
+The literal Eq. (3) path (``use_woodbury=False``) runs the same loop
+with Q = I and dense n x n inverses: it is the oracle the subspace
+engine is tested against and the paper's Woodbury ablation.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy import linalg as sla
 
 from repro.core.linalg import (
-    MaskedPosterior,
     PosteriorCache,
+    SubspaceBasis,
+    cholesky_logdet,
     nearest_psd_jitter,
+    psd_core_jitter,
     symmetrize,
 )
 from repro.core.observation import ObservationSet
@@ -45,16 +64,9 @@ class EMConfig:
         max_iterations: Hard cap on EM iterations.
         tol: Relative log-likelihood change below which EM stops.
         min_noise_var: Floor on sigma^2 to keep posteriors well-posed.
-        use_woodbury: Use the masked Woodbury E-step (True) or the
-            literal dense Eq. (3) inverses (False; for the ablation).
-        cache_posteriors: Memoize Woodbury factorizations by exact
-            parameter content (see :class:`repro.core.linalg.PosteriorCache`);
-            a hit returns the same objects recomputation would, so this
-            never changes results.
-        posterior_cache_tol: When > 0, additionally reuse a cached
-            factorization whose Sigma differs by at most this relative
-            max-norm — an explicit approximation for the late-EM plateau,
-            off by default.
+        use_woodbury: Run the exact subspace E-step (True) or the
+            literal dense Eq. (3) inverses on all of R^n (False; the
+            oracle and the paper's Woodbury ablation).
         raise_on_nonconvergence: Raise :class:`~repro.errors.
             ConvergenceError` when the iteration cap is hit without
             meeting the tolerance, instead of returning
@@ -68,8 +80,6 @@ class EMConfig:
     tol: float = 1e-6
     min_noise_var: float = 1e-10
     use_woodbury: bool = True
-    cache_posteriors: bool = True
-    posterior_cache_tol: float = 0.0
     raise_on_nonconvergence: bool = False
 
     def __post_init__(self) -> None:
@@ -83,11 +93,6 @@ class EMConfig:
             raise ValueError(
                 f"min_noise_var must be positive, got {self.min_noise_var}"
             )
-        if self.posterior_cache_tol < 0:
-            raise ValueError(
-                f"posterior_cache_tol must be >= 0, got "
-                f"{self.posterior_cache_tol}"
-            )
 
 
 @dataclasses.dataclass
@@ -96,7 +101,6 @@ class EMResult:
 
     Attributes:
         mu: Estimated shared mean, shape ``(n,)``.
-        sigma_mat: Estimated shared covariance Sigma, shape ``(n, n)``.
         noise_var: Estimated measurement noise sigma^2.
         zhat: Posterior means E(z_i), shape ``(M, n)`` — row M-1 is the
             target application's estimate (paper Section 5.4).
@@ -105,69 +109,95 @@ class EMResult:
         loglik_history: Observed-data log-likelihood before each E-step.
         iterations: EM iterations executed.
         converged: Whether the tolerance was met before the cap.
+        sigma_basis: Orthonormal basis Q (n x r) of the fit's subspace.
+        sigma_core: Sigma restricted to the subspace, ``Q' Sigma Q``.
+        sigma_scale: Sigma's value c on the subspace's complement, so
+            ``Sigma = c I + Q (sigma_core - c I) Q'``.
     """
 
     mu: np.ndarray
-    sigma_mat: np.ndarray
     noise_var: float
     zhat: np.ndarray
     zvar: np.ndarray
     loglik_history: List[float]
     iterations: int
     converged: bool
+    sigma_basis: SubspaceBasis
+    sigma_core: np.ndarray
+    sigma_scale: float
+
+    @functools.cached_property
+    def sigma_mat(self) -> np.ndarray:
+        """Estimated shared covariance Sigma, ``(n, n)``, built when read."""
+        return self.sigma_basis.matrix(self.sigma_core, self.sigma_scale)
 
 
-def _default_initialization(obs: ObservationSet):
-    """Offline-flavoured initialization (paper Section 5.5).
+@dataclasses.dataclass(frozen=True)
+class _Group:
+    """Applications sharing one observation mask, in S-coordinates.
 
-    mu starts at the per-configuration mean of whatever was observed;
-    Sigma at the sample covariance of the fully observed rows (falling
-    back to a scaled identity); sigma^2 at one percent of the data
-    variance.
+    ``pos`` are the S-coordinates the mask pins down and ``y`` the
+    applications' observations there.  A fully observed mask also
+    observes the whole complement of S, where its data is zero.
+    """
+
+    apps: np.ndarray
+    num_observed: int
+    pos: np.ndarray
+    y: np.ndarray
+    full: bool
+
+
+def _default_mean(obs: ObservationSet) -> np.ndarray:
+    """The per-configuration mean of whatever was observed (Section 5.5).
+
+    Configurations nobody observed start at the global mean.
     """
     values, mask = obs.values, obs.mask
     counts = mask.sum(axis=0)
-    col_sum = values.sum(axis=0)
     global_mean = values[mask].mean()
-    mu = np.where(counts > 0, col_sum / np.maximum(counts, 1), global_mean)
+    return np.where(counts > 0, values.sum(axis=0) / np.maximum(counts, 1),
+                    global_mean)
 
-    full_rows = mask.all(axis=1)
-    data_var = float(values[mask].var())
-    if data_var <= 0:
-        data_var = 1.0
+
+def _data_variance(obs: ObservationSet) -> float:
+    data_var = float(obs.values[obs.mask].var())
+    return data_var if data_var > 0 else 1.0
+
+
+def _default_covariance(obs: ObservationSet, basis: SubspaceBasis,
+                        data_var: float) -> Tuple[np.ndarray, float]:
+    """Sigma's starting point, restricted to S: ``(core, c)``.
+
+    The sample covariance of the fully observed rows plus a small ridge
+    (falling back to a scaled identity).  The rows lie in S, so on S's
+    complement only the ridge remains.
+    """
+    full_rows = obs.mask.all(axis=1)
+    r = basis.dim
     if full_rows.sum() >= 2:
-        sigma_mat = np.cov(values[full_rows], rowvar=False)
-        sigma_mat = nearest_psd_jitter(
-            sigma_mat + 0.05 * data_var * np.eye(obs.num_configs))
-    else:
-        sigma_mat = data_var * np.eye(obs.num_configs)
-    noise_var = max(0.01 * data_var, 1e-8)
-    return mu, sigma_mat, noise_var
+        rows = basis.project(obs.values[full_rows])
+        centered = rows - rows.mean(axis=0)
+        ridge = 0.05 * data_var
+        core = (centered.T @ centered / (rows.shape[0] - 1)
+                + ridge * np.eye(r))
+        return psd_core_jitter(core, ridge, basis.perp_dims)
+    return data_var * np.eye(r), data_var
 
 
 class EMEngine:
     """Runs EM for the hierarchical model on an observation set.
 
-    The engine owns a :class:`~repro.core.linalg.PosteriorCache` shared
-    by every :meth:`fit` it performs: E-step groups (and repeated fits)
-    presenting bit-identical ``(Sigma, sigma^2, Omega)`` reuse one
-    Cholesky factorization.
+    The literal Eq. (3) oracle (``use_woodbury=False``) memoizes its
+    log-likelihood factorizations in a :class:`~repro.core.linalg.
+    PosteriorCache` shared by every :meth:`fit` the engine performs.
     """
 
     def __init__(self, prior: Optional[NIWPrior] = None,
                  config: EMConfig = EMConfig()) -> None:
         self.prior = prior
         self.config = config
-        self._posteriors = (
-            PosteriorCache(tol=config.posterior_cache_tol)
-            if config.cache_posteriors else None)
-
-    def _posterior(self, sigma_mat: np.ndarray, noise_var: float,
-                   obs_idx: np.ndarray):
-        """A (possibly cached) masked posterior for the given params."""
-        if self._posteriors is not None:
-            return self._posteriors.get(sigma_mat, noise_var, obs_idx)
-        return MaskedPosterior(sigma_mat, noise_var, obs_idx)
+        self._posteriors = PosteriorCache()
 
     # ------------------------------------------------------------------
     def fit(self, obs: ObservationSet,
@@ -177,18 +207,37 @@ class EMEngine:
         """Fit theta = {mu, Sigma, sigma^2} and the posterior curves."""
         n = obs.num_configs
         m = obs.num_applications
-        default_mu, default_sigma, default_noise = _default_initialization(obs)
-        mu = np.asarray(init_mu, dtype=float) if init_mu is not None else default_mu
+        mu = (np.asarray(init_mu, dtype=float) if init_mu is not None
+              else _default_mean(obs))
         if mu.shape != (n,):
             raise ValueError(f"init_mu shape {mu.shape} != ({n},)")
-        sigma_mat = (nearest_psd_jitter(np.asarray(init_sigma, dtype=float))
-                     if init_sigma is not None else default_sigma)
-        if sigma_mat.shape != (n, n):
-            raise ValueError(f"init_sigma shape {sigma_mat.shape} != ({n}, {n})")
+        if init_sigma is not None:
+            init_sigma = np.asarray(init_sigma, dtype=float)
+            if init_sigma.shape != (n, n):
+                raise ValueError(
+                    f"init_sigma shape {init_sigma.shape} != ({n}, {n})")
+        data_var = _data_variance(obs)
         noise_var = (float(init_noise_var) if init_noise_var is not None
-                     else default_noise)
+                     else max(0.01 * data_var, 1e-8))
         if noise_var <= 0:
             raise ValueError(f"init_noise_var must be positive, got {noise_var}")
+
+        dense = not self.config.use_woodbury
+        mask_groups = obs.mask_groups()
+        if (dense or init_sigma is not None
+                or (self.prior is not None and self.prior.psi_is_dense)):
+            basis = SubspaceBasis.identity(n)
+        else:
+            basis = self._basis(obs, mask_groups, mu)
+        r, perp_dims = basis.dim, basis.perp_dims
+        groups = [self._group(obs, basis, obs_idx, apps)
+                  for obs_idx, apps in mask_groups]
+        prior_terms = self._prior_terms(basis)
+        mu_s = basis.project(mu)
+        if init_sigma is not None:
+            core, scale = psd_core_jitter(init_sigma, 0.0, perp_dims)
+        else:
+            core, scale = _default_covariance(obs, basis, data_var)
 
         # Fault-injection hook: force the failure modes the numerical
         # guards below exist for.
@@ -199,66 +248,69 @@ class EMEngine:
                     iterations=self.config.max_iterations)
             if spec.kind == "singular-covariance":
                 if spec.magnitude < 0:
-                    sigma_mat = np.full_like(sigma_mat, np.nan)
+                    core = np.full_like(core, np.nan)
+                    scale = float("nan")
                 else:
                     # A singular starting Sigma: repairable, so this
                     # exercises the jitter-escalation guard; a negative
                     # magnitude poisons it outright, so the guard raises
                     # CovarianceError.
-                    sigma_mat = sigma_mat * spec.magnitude
-                sigma_mat = nearest_psd_jitter(sigma_mat)
+                    core = core * spec.magnitude
+                    scale = scale * spec.magnitude
+                core, scale = psd_core_jitter(core, scale, perp_dims)
 
-        groups = obs.mask_groups()
         loglik_history: List[float] = []
-        zhat = np.zeros((m, n))
-        zvar = np.zeros((m, n))
         converged = False
         iterations = 0
 
         ob = get_observability()
         with ob.tracer.span("em.fit", num_applications=m, num_configs=n,
-                            use_woodbury=self.config.use_woodbury) as fit_span:
+                            use_woodbury=self.config.use_woodbury,
+                            subspace_dim=r) as fit_span:
             for iterations in range(1, self.config.max_iterations + 1):
                 with ob.tracer.span("em.iteration",
                                     iteration=iterations) as it_span:
                     # ---------------- E-step (Eq. 3) ----------------
-                    # Each mask group is handled as one stacked solve:
-                    # the factorization is computed (or fetched from the
-                    # posterior cache) once per group and applied to all
-                    # matching applications at once.
+                    # One factorization per mask group, applied to all
+                    # of the group's applications at once.
                     loglik = 0.0
-                    sum_cov = np.zeros((n, n))
+                    zs = np.empty((m, r))
+                    cov_sum = np.zeros((r, r))
+                    perp_sum = 0.0  # sum over apps of Cov(z_i) on S-perp
                     sse_obs = 0.0  # sum over observed entries of (zhat - y)^2
                     trace_obs = 0.0  # sum over observed entries of diag(C)
-                    dense_sigma_inv = None
-                    if not self.config.use_woodbury:
+                    posteriors = []
+                    if dense:
                         # The literal Eq. (3) needs Sigma^{-1}; it depends
                         # only on the iteration's parameters, not the mask.
-                        dense_sigma_inv = np.linalg.inv(
-                            nearest_psd_jitter(sigma_mat))
-                    for obs_idx, apps in groups:
-                        apps_arr = np.asarray(apps)
-                        y_rows = obs.values[apps_arr][:, obs_idx]
-                        if self.config.use_woodbury:
-                            post = self._posterior(sigma_mat, noise_var,
-                                                   obs_idx)
-                            cov = post.covariance
-                            zhat[apps_arr] = post.means(mu, y_rows)
-                            loglik += float(post.logliks(mu, y_rows).sum())
+                        sigma_inv = np.linalg.inv(nearest_psd_jitter(core))
+                    for group in groups:
+                        if dense:
+                            cov, rows = self._dense_group_posterior(
+                                sigma_inv, noise_var, group.pos, mu_s,
+                                group.y, n)
+                            check = self._posteriors.get(core, noise_var,
+                                                         group.pos)
+                            logliks = check.logliks(mu_s, group.y)
+                            perp_var = 0.0
                         else:
-                            cov, zhat_rows = self._dense_group_posterior(
-                                dense_sigma_inv, noise_var, obs_idx, mu,
-                                y_rows, n)
-                            zhat[apps_arr] = zhat_rows
-                            check = self._posterior(sigma_mat, noise_var,
-                                                    obs_idx)
-                            loglik += float(check.logliks(mu, y_rows).sum())
-                        diag_cov = np.diag(cov)
-                        zvar[apps_arr] = diag_cov
-                        sum_cov += len(apps) * cov
-                        trace_obs += len(apps) * float(diag_cov[obs_idx].sum())
-                        diffs = zhat[apps_arr][:, obs_idx] - y_rows
+                            cov, rows, logliks, perp_var = (
+                                _subspace_posterior(core, scale, noise_var,
+                                                    group, mu_s, perp_dims))
+                            ob.metrics.inc(
+                                "linalg_posterior_factorizations_total")
+                        count = group.apps.size
+                        zs[group.apps] = rows
+                        loglik += float(logliks.sum())
+                        cov_sum += count * cov
+                        perp_sum += count * perp_var
+                        observed_perp = perp_dims if group.full else 0
+                        trace_obs += count * (
+                            float(np.diag(cov)[group.pos].sum())
+                            + observed_perp * perp_var)
+                        diffs = rows[:, group.pos] - group.y
                         sse_obs += float(np.einsum("ij,ij->", diffs, diffs))
+                        posteriors.append((group.apps, cov, perp_var))
 
                     if not np.isfinite(loglik):
                         raise ConvergenceError(
@@ -277,8 +329,11 @@ class EMEngine:
 
                     if not converged:
                         # ---------------- M-step (Eq. 4) ----------------
-                        mu, sigma_mat, noise_var = self._m_step(
-                            obs, zhat, sum_cov, sse_obs, trace_obs)
+                        mu_s, core, scale = self._m_step(
+                            zs, cov_sum, perp_sum, prior_terms, perp_dims)
+                        noise_var = max(
+                            (trace_obs + sse_obs) / obs.total_observations,
+                            self.config.min_noise_var)
                 if converged:
                     break
             fit_span.set_attribute("iterations", iterations)
@@ -296,9 +351,85 @@ class EMEngine:
                 "EM stopped at the iteration cap without converging",
                 extra={"fields": {"iterations": iterations,
                                   "tol": self.config.tol}})
-        return EMResult(mu=mu, sigma_mat=sigma_mat, noise_var=noise_var,
-                        zhat=zhat, zvar=zvar, loglik_history=loglik_history,
-                        iterations=iterations, converged=converged)
+        zvar = np.empty((m, n))
+        for apps, cov, perp_var in posteriors:
+            zvar[apps] = basis.diagonal(cov, perp_var)
+        return EMResult(mu=basis.lift(mu_s), noise_var=noise_var,
+                        zhat=basis.lift(zs), zvar=zvar,
+                        loglik_history=loglik_history,
+                        iterations=iterations, converged=converged,
+                        sigma_basis=basis, sigma_core=core,
+                        sigma_scale=scale)
+
+    # ------------------------------------------------------------------
+    def _basis(self, obs: ObservationSet, mask_groups,
+               mu: np.ndarray) -> SubspaceBasis:
+        """The basis of S for this fit.
+
+        Generators: the unit vectors of every partially observed
+        configuration (kept exactly), the fully observed rows, the
+        initial mean, mu_0 when non-zero and Psi's low-rank factor.
+        """
+        n = obs.num_configs
+        partial = [obs_idx for obs_idx, _ in mask_groups if obs_idx.size < n]
+        unit = (np.concatenate(partial) if partial
+                else np.zeros(0, dtype=int))
+        generators = [obs.values[obs.mask.all(axis=1)], mu[None, :]]
+        if self.prior is not None:
+            generators.append(self.prior.mu0_vector(n)[None, :])
+            generators.append(self.prior.psi_factors(n)[1].T)
+        return SubspaceBasis.spanning(n, unit, np.vstack(generators))
+
+    @staticmethod
+    def _group(obs: ObservationSet, basis: SubspaceBasis,
+               obs_idx: np.ndarray, apps) -> _Group:
+        apps = np.asarray(apps)
+        rows = obs.values[apps]
+        if obs_idx.size == obs.num_configs:
+            return _Group(apps=apps, num_observed=obs_idx.size,
+                          pos=np.arange(basis.dim), y=basis.project(rows),
+                          full=True)
+        return _Group(apps=apps, num_observed=obs_idx.size,
+                      pos=basis.positions(obs_idx), y=rows[:, obs_idx],
+                      full=False)
+
+    def _prior_terms(self, basis: SubspaceBasis):
+        """``(mu_0, Psi restricted to S, Psi's scale on S-perp)``."""
+        prior = self.prior
+        if prior is None:
+            return None, None, 0.0
+        n, r = basis.n, basis.dim
+        mu0 = basis.project(prior.mu0_vector(n))
+        if prior.psi_is_dense:
+            return mu0, prior.psi_matrix(n), 0.0
+        psi_scale, factor = prior.psi_factors(n)
+        factor_s = basis.project(factor.T)
+        return mu0, psi_scale * np.eye(r) + factor_s.T @ factor_s, psi_scale
+
+    def _m_step(self, zs: np.ndarray, cov_sum: np.ndarray, perp_sum: float,
+                prior_terms, perp_dims: int):
+        """Eq. (4) for mu and Sigma: ``(mu, B, c)`` in S-coordinates.
+
+        ``cov_sum`` and ``perp_sum`` are the summed posterior covariances
+        on S and on S-perp; Psi contributes its restriction to S and its
+        scale on S-perp.
+        """
+        m = zs.shape[0]
+        prior = self.prior
+        if prior is None:
+            mu_s = zs.mean(axis=0)
+            centered = zs - mu_s
+            core = (cov_sum + centered.T @ centered) / m
+            return (mu_s,) + psd_core_jitter(core, perp_sum / m, perp_dims)
+        mu0, psi_core, psi_scale = prior_terms
+        mu_s = (prior.pi * mu0 + zs.sum(axis=0)) / (m + prior.pi)
+        centered = zs - mu_s
+        dev = mu_s - mu0
+        scatter = (cov_sum + centered.T @ centered + psi_core
+                   + prior.pi * np.outer(dev, dev))
+        return (mu_s,) + psd_core_jitter(scatter / (m + prior.nu),
+                                         (perp_sum + psi_scale)
+                                         / (m + prior.nu), perp_dims)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -311,7 +442,7 @@ class EMEngine:
         :func:`repro.core.linalg.dense_posterior` once per application,
         but the O(n^3) precision inverse is computed once per group and
         the per-application means collapse into a single matrix product.
-        Retained for the Woodbury ablation benchmark.
+        The oracle and the Woodbury ablation run it.
         """
         indicator = np.zeros(n)
         indicator[obs_idx] = 1.0
@@ -323,29 +454,45 @@ class EMEngine:
         zhat_rows = rhs @ cov.T
         return symmetrize(cov), zhat_rows
 
-    # ------------------------------------------------------------------
-    def _m_step(self, obs: ObservationSet, zhat: np.ndarray,
-                sum_cov: np.ndarray, sse_obs: float, trace_obs: float):
-        m, n = zhat.shape
-        prior = self.prior
 
-        if prior is None:
-            mu = zhat.mean(axis=0)
-        else:
-            mu0 = prior.mu0_vector(n)
-            mu = (prior.pi * mu0 + zhat.sum(axis=0)) / (m + prior.pi)
+def _subspace_posterior(core: np.ndarray, scale: float, noise_var: float,
+                        group: _Group, mu_s: np.ndarray, perp_dims: int):
+    """Eq. (3) for one mask group, in S-coordinates.
 
-        centered = zhat - mu
-        scatter = sum_cov + centered.T @ centered
-        if prior is None:
-            sigma_mat = scatter / m
-        else:
-            mu0 = prior.mu0_vector(n)
-            dev = (mu - mu0).reshape(-1, 1)
-            scatter = scatter + prior.psi_matrix(n) + prior.pi * (dev @ dev.T)
-            sigma_mat = scatter / (m + prior.nu)
-        sigma_mat = nearest_psd_jitter(sigma_mat)
-
-        noise_var = (trace_obs + sse_obs) / obs.total_observations
-        noise_var = max(noise_var, self.config.min_noise_var)
-        return mu, sigma_mat, noise_var
+    Returns ``(cov, means, logliks, perp_var)``: the posterior covariance
+    restricted to S (r x r), the group's posterior means in
+    S-coordinates, each application's observed-data log-likelihood, and
+    the posterior variance on S-perp.  A partial mask lies inside S, so
+    S-perp keeps its prior variance c; a full mask observes S-perp too,
+    where each direction is a scalar prior c under noise sigma^2.
+    """
+    pos = group.pos
+    r = core.shape[0]
+    if group.full:
+        # Everything observed: with K = B + sigma^2 I,
+        #   Cov = sigma^2 I - sigma^4 K^{-1}  and  gain = I - sigma^2 K^{-1},
+        # which stays accurate when sigma^2 << B, where the general form
+        # B - B K^{-1} B cancels down to about sigma^2.
+        chol = sla.cho_factor(symmetrize(core + noise_var * np.eye(r)),
+                              lower=True, check_finite=False)
+        k_inv = sla.cho_solve(chol, np.eye(r), check_finite=False)
+        gain = np.eye(r) - noise_var * k_inv
+        cov = symmetrize(noise_var * np.eye(r) - noise_var ** 2 * k_inv)
+        perp_var = scale * noise_var / (scale + noise_var)
+        perp_logdet = perp_dims * np.log(scale + noise_var)
+    else:
+        b_cols = core[:, pos]                              # (r, k)
+        chol = sla.cho_factor(
+            symmetrize(b_cols[pos] + noise_var * np.eye(pos.size)),
+            lower=True, check_finite=False)
+        gain = sla.cho_solve(chol, b_cols.T, check_finite=False).T
+        cov = symmetrize(core - gain @ b_cols.T)
+        perp_var = scale
+        perp_logdet = 0.0
+    residuals = group.y - mu_s[pos]
+    means = mu_s + residuals @ gain.T
+    alphas = sla.cho_solve(chol, residuals.T, check_finite=False)
+    quads = np.einsum("km,km->m", residuals.T, alphas)
+    logdet = cholesky_logdet(chol[0]) + perp_logdet
+    logliks = -0.5 * (quads + logdet + group.num_observed * np.log(2 * np.pi))
+    return cov, means, logliks, perp_var

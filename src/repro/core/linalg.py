@@ -1,30 +1,36 @@
 """Numerical linear algebra for the EM engine.
 
-Two concerns live here:
+Three concerns live here:
 
 * **Stability** — covariance iterates must stay symmetric positive
   definite through hundreds of floating-point updates
-  (:func:`symmetrize`, :func:`nearest_psd_jitter`).
-* **Efficiency** — the E-step posterior (paper Eq. 3)
+  (:func:`symmetrize`, :func:`psd_core_jitter`).
+* **Dimension** — every EM quantity stays inside one fixed subspace S of
+  R^n (docs/MATH.md, "Exact subspace E-step").  :class:`SubspaceBasis`
+  is an orthonormal basis Q of S; a covariance held as
+  ``Q core Q' + c (I - Q Q')`` is updated through its r x r ``core`` and
+  the scalar ``c``, and is materialized only on request.
+* **The literal oracle** — the dense Eq. (3) path the subspace engine is
+  tested against.  The E-step posterior
 
       Cov(z_i) = (diag(L_i)/sigma^2 + Sigma^{-1})^{-1}
 
-  is an n x n inverse per application if computed naively.  Rewriting it
-  with the Woodbury identity over the k = |Omega_i| observed coordinates,
+  is an n x n inverse per application if computed naively
+  (:func:`dense_posterior`); its Woodbury form over the k = |Omega_i|
+  observed coordinates,
 
       Cov(z_i) = Sigma - Sigma[:, O] (Sigma[O, O] + sigma^2 I)^{-1} Sigma[O, :],
       E(z_i)   = mu + Sigma[:, O] (Sigma[O, O] + sigma^2 I)^{-1} (y[O] - mu[O]),
 
-  costs O(n^2 k + k^3) and — crucially — the covariance depends only on
-  the *mask*, so applications sharing a mask (all M-1 fully observed
-  priors) share one factorization (:class:`MaskedPosterior`).
+  is :class:`MaskedPosterior`, which the oracle uses for its
+  log-likelihood (memoized by :class:`PosteriorCache`).
 """
 
 from __future__ import annotations
 
 import collections
 import hashlib
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import linalg as sla
@@ -41,29 +47,52 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def nearest_psd_jitter(a: np.ndarray, max_tries: int = 12) -> np.ndarray:
     """Return ``a`` with just enough diagonal jitter to be Cholesky-able.
 
-    Starts from a relative jitter of 1e-12 of the mean diagonal and grows
-    by 10x per failed attempt.  Raises :class:`~repro.errors.
-    CovarianceError` (a ``np.linalg.LinAlgError`` subclass, so legacy
-    handlers keep working) when the matrix contains non-finite entries
-    or cannot be repaired within ``max_tries`` escalations — either
-    indicates a genuinely broken update, not roundoff.  Escalations past
-    the first attempt are counted on the ambient metrics registry
-    (``linalg_jitter_escalations_total``).
+    The dense form of :func:`psd_core_jitter` (a matrix with no
+    complement to carry), used by the literal Eq. (3) oracle.
     """
-    a = symmetrize(np.asarray(a, dtype=float))
-    if not np.all(np.isfinite(a)):
+    core, _ = psd_core_jitter(a, 0.0, 0, max_tries)
+    return core
+
+
+def psd_core_jitter(core: np.ndarray, scale: float, perp_dims: int,
+                    max_tries: int = 12) -> Tuple[np.ndarray, float]:
+    """Jitter ``Sigma = Q core Q' + scale (I - Q Q')`` until Cholesky-able.
+
+    ``core`` is Sigma restricted to a subspace S (r x r, in an orthonormal
+    basis Q) and ``scale`` its value on the ``perp_dims``-dimensional
+    complement.  The result is exactly what jittering the materialized
+    n x n Sigma would give, at O(r^3): the same jitter ``j`` is added to
+    ``core``'s diagonal and to ``scale``.  ``j`` starts at a relative
+    1e-12 of Sigma's mean diagonal and grows by 10x per failed attempt.
+
+    Raises :class:`~repro.errors.CovarianceError` (a
+    ``np.linalg.LinAlgError`` subclass, so legacy handlers keep working)
+    when an entry is non-finite or the matrix cannot be repaired within
+    ``max_tries`` escalations — either indicates a genuinely broken
+    update, not roundoff.  Escalations past the first attempt are counted
+    on the ambient metrics registry (``linalg_jitter_escalations_total``).
+    With no complement (``perp_dims == 0``) the scalar has no meaning and
+    is returned as 0.
+    """
+    core = symmetrize(np.asarray(core, dtype=float))
+    scale = float(scale) if perp_dims else 0.0
+    if not (np.all(np.isfinite(core)) and np.isfinite(scale)):
         raise CovarianceError(
             "covariance matrix contains non-finite entries")
-    scale = float(np.mean(np.diag(a)))
-    if scale <= 0 or not np.isfinite(scale):
-        scale = 1.0
+    r = core.shape[0]
+    mean_diag = ((float(np.trace(core)) + perp_dims * scale)
+                 / max(r + perp_dims, 1))
+    if mean_diag <= 0 or not np.isfinite(mean_diag):
+        mean_diag = 1.0
     jitter = 0.0
     for attempt in range(max_tries):
         try:
-            np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
+            np.linalg.cholesky(core + jitter * np.eye(r))
+            if perp_dims and not scale + jitter > 0.0:
+                raise np.linalg.LinAlgError("complement not positive")
             break
         except np.linalg.LinAlgError:
-            jitter = scale * 10.0 ** (attempt - 12)
+            jitter = mean_diag * 10.0 ** (attempt - 12)
             if attempt:
                 get_metrics().inc("linalg_jitter_escalations_total")
     else:
@@ -71,8 +100,115 @@ def nearest_psd_jitter(a: np.ndarray, max_tries: int = 12) -> np.ndarray:
             "matrix is not repairable to positive definite"
         )
     if jitter:
-        a = a + jitter * np.eye(a.shape[0])
-    return a
+        core = core + jitter * np.eye(r)
+        scale = scale + jitter if perp_dims else 0.0
+    return core, scale
+
+
+class SubspaceBasis:
+    """An orthonormal basis Q (n x r) of a subspace S of R^n.
+
+    Q is ``[E_U | Q_V]``: the unit vectors of the coordinates ``unit`` (U,
+    kept exactly), then ``block``, orthonormal columns supported on the
+    remaining coordinates ``rest`` (V).  So the first ``len(unit)``
+    S-coordinates of a vector are its raw entries at U, and a covariance
+    restricted to S has ``Sigma[U, U]`` as its leading block.
+
+    Args:
+        n: Dimension of the ambient space.
+        unit: Coordinates whose unit vectors lie in S.
+        block: ``(n - len(unit), r2)`` orthonormal columns on the rest.
+    """
+
+    def __init__(self, n: int, unit: np.ndarray, block: np.ndarray) -> None:
+        self.n = int(n)
+        self.unit = np.unique(np.asarray(unit, dtype=int))
+        self.rest = np.setdiff1d(np.arange(self.n), self.unit)
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[0] != self.rest.size:
+            raise ValueError(f"block must have {self.rest.size} rows, "
+                             f"got shape {block.shape}")
+        self.block = block
+
+    @classmethod
+    def identity(cls, n: int) -> "SubspaceBasis":
+        """S = R^n with Q = I: S-coordinates are the raw coordinates."""
+        return cls(n, np.arange(n), np.zeros((0, 0)))
+
+    @classmethod
+    def spanning(cls, n: int, unit: np.ndarray,
+                 generators: np.ndarray) -> "SubspaceBasis":
+        """The smallest basis holding ``unit``'s unit vectors and every row.
+
+        ``generators`` is ``(g, n)``.  Their components off ``unit`` are
+        normalized and orthonormalized by SVD; directions whose singular
+        value falls below ``max(dims) * eps`` of the largest are roundoff
+        and are dropped.
+        """
+        rest = np.setdiff1d(np.arange(n), unit)
+        components = np.asarray(generators, dtype=float)[:, rest]
+        norms = np.linalg.norm(components, axis=1)
+        components = components[norms > 0] / norms[norms > 0, None]
+        block = np.zeros((rest.size, 0))
+        if components.size:
+            left, singular, _ = np.linalg.svd(components.T,
+                                              full_matrices=False)
+            tol = singular[0] * max(components.shape) * np.finfo(float).eps
+            block = left[:, singular > tol]
+        return cls(n, unit, block)
+
+    @property
+    def dim(self) -> int:
+        """r, the dimension of S."""
+        return self.unit.size + self.block.shape[1]
+
+    @property
+    def perp_dims(self) -> int:
+        """n - r, the dimension of the orthogonal complement of S."""
+        return self.n - self.dim
+
+    def positions(self, idx: np.ndarray) -> np.ndarray:
+        """S-coordinates of the unit vectors of ``idx`` (a subset of U)."""
+        return np.searchsorted(self.unit, idx)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """``Q' x`` along the last axis of ``x``."""
+        x = np.asarray(x, dtype=float)
+        return np.concatenate([x[..., self.unit],
+                               x[..., self.rest] @ self.block], axis=-1)
+
+    def lift(self, coords: np.ndarray) -> np.ndarray:
+        """``Q c`` along the last axis of ``coords``: back to R^n."""
+        coords = np.asarray(coords, dtype=float)
+        u = self.unit.size
+        out = np.empty(coords.shape[:-1] + (self.n,))
+        out[..., self.unit] = coords[..., :u]
+        out[..., self.rest] = coords[..., u:] @ self.block.T
+        return out
+
+    def diagonal(self, core: np.ndarray, scale: float) -> np.ndarray:
+        """``diag(Q core Q' + scale (I - Q Q'))`` at O(n r^2)."""
+        u = self.unit.size
+        out = np.empty(self.n)
+        out[self.unit] = np.diag(core)[:u]
+        q = self.block
+        out[self.rest] = (np.einsum("ij,ij->i", q @ core[u:, u:], q)
+                          + scale * (1.0 - np.einsum("ij,ij->i", q, q)))
+        return out
+
+    def matrix(self, core: np.ndarray, scale: float) -> np.ndarray:
+        """``Q core Q' + scale (I - Q Q')`` materialized as ``(n, n)``."""
+        u = self.unit.size
+        q = self.block
+        unit, rest = self.unit, self.rest
+        out = np.empty((self.n, self.n))
+        out[np.ix_(unit, unit)] = core[:u, :u]
+        cross = core[:u, u:] @ q.T
+        out[np.ix_(unit, rest)] = cross
+        out[np.ix_(rest, unit)] = cross.T
+        inner = core[u:, u:] - scale * np.eye(q.shape[1])
+        out[np.ix_(rest, rest)] = q @ inner @ q.T + scale * np.eye(rest.size)
+        return symmetrize(out)
 
 
 def cholesky_logdet(chol_lower: np.ndarray) -> float:
@@ -106,38 +242,15 @@ class MaskedPosterior:
         self.noise_var = float(noise_var)
 
         started = start_timer()
-        if obs_idx.size == n and np.array_equal(obs_idx, np.arange(n)):
-            # Fully observed fast path (the M-1 offline applications):
-            # with S = Sigma + noise I and K = S^{-1},
-            #   Cov(z) = noise I - noise^2 K   and   G = I - noise K,
-            # so one Cholesky inverse replaces three O(n^3) products.
-            s_full = symmetrize(sigma_mat + noise_var * np.eye(n))
-            self._chol = sla.cho_factor(s_full, lower=True,
-                                        check_finite=False)
-            k_inv = self._cholesky_inverse(self._chol[0])
-            self._gain = np.eye(n) - noise_var * k_inv
-            self._cov = symmetrize(
-                noise_var * np.eye(n) - noise_var ** 2 * k_inv)
-        else:
-            s_no = sigma_mat[:, obs_idx]                   # (n, k)
-            s_oo = s_no[obs_idx, :] + noise_var * np.eye(obs_idx.size)
-            s_oo = symmetrize(s_oo)
-            self._chol = sla.cho_factor(s_oo, lower=True, check_finite=False)
-            # Gain G = Sigma[:, O] (Sigma[O, O] + noise I)^{-1}, (n, k).
-            self._gain = sla.cho_solve(self._chol, s_no.T,
-                                       check_finite=False).T
-            self._cov = symmetrize(sigma_mat - self._gain @ s_no.T)
+        s_no = sigma_mat[:, obs_idx]                       # (n, k)
+        s_oo = symmetrize(s_no[obs_idx, :] + noise_var * np.eye(obs_idx.size))
+        self._chol = sla.cho_factor(s_oo, lower=True, check_finite=False)
+        # Gain G = Sigma[:, O] (Sigma[O, O] + noise I)^{-1}, (n, k).
+        self._gain = sla.cho_solve(self._chol, s_no.T,
+                                   check_finite=False).T
+        self._cov = symmetrize(sigma_mat - self._gain @ s_no.T)
         get_metrics().inc("linalg_posterior_factorizations_total")
         stop_timer("linalg_posterior_seconds", started)
-
-    @staticmethod
-    def _cholesky_inverse(chol_lower: np.ndarray) -> np.ndarray:
-        """Full inverse from a lower Cholesky factor via LAPACK potri."""
-        inv_tri, info = sla.lapack.dpotri(chol_lower, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-        # potri fills only the lower triangle; mirror it.
-        return np.tril(inv_tri) + np.tril(inv_tri, -1).T
 
     @property
     def covariance(self) -> np.ndarray:
@@ -224,39 +337,24 @@ def dense_posterior(sigma_mat: np.ndarray, noise_var: float,
 
 
 class PosteriorCache:
-    """Memoizes :class:`MaskedPosterior` factorizations across E-steps.
+    """Memoizes :class:`MaskedPosterior` factorizations for the oracle.
 
-    Keyed on a content digest of ``(Sigma, sigma^2, Omega)``: two E-step
-    groups — or two EM iterations, or two fits — presenting bit-identical
-    parameters share one Cholesky factorization, so a cache hit is
-    numerically indistinguishable from recomputation (this is what the
-    golden-regression suite relies on).
-
-    With ``tol > 0`` the cache additionally reuses the most recently
-    inserted entry whose mask matches when Sigma has moved by at most
-    ``tol`` (relative max-norm) and the noise is unchanged — an explicit
-    approximation for the late-EM plateau where Sigma is numerically
-    frozen but not bit-identical.  It is off (``0.0``) by default because
-    it trades a bounded perturbation of the posterior for the skipped
-    O(k^3) factorization.
-
-    The cache keeps references to the Sigma arrays it has seen; callers
-    must treat covariance iterates as immutable (the EM engine rebinds a
-    fresh array every M-step, it never mutates in place).
+    Keyed on a content digest of ``(Sigma, sigma^2, Omega)``: two
+    E-step groups — or two EM iterations, or two fits — presenting
+    bit-identical parameters share one Cholesky factorization, so a
+    cache hit is numerically indistinguishable from recomputation.  Only
+    the literal Eq. (3) path (``EMConfig(use_woodbury=False)``) uses it;
+    the subspace engine's r x r factorizations are cheaper than a key.
 
     Args:
         maxsize: Entries retained (LRU eviction).
-        tol: Relative Sigma drift accepted for approximate reuse.
     """
 
-    def __init__(self, maxsize: int = 8, tol: float = 0.0) -> None:
+    def __init__(self, maxsize: int = 8) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        if tol < 0:
-            raise ValueError(f"tol must be >= 0, got {tol}")
         self.maxsize = maxsize
-        self.tol = float(tol)
-        self._entries: "collections.OrderedDict[bytes, tuple]" = (
+        self._entries: "collections.OrderedDict[bytes, MaskedPosterior]" = (
             collections.OrderedDict())
         self.hits = 0
         self.misses = 0
@@ -276,38 +374,18 @@ class PosteriorCache:
         """The memoized posterior for ``(Sigma, sigma^2, Omega)``."""
         obs_idx = np.asarray(obs_idx, dtype=int)
         key = self._key(sigma_mat, noise_var, obs_idx)
-        entry = self._entries.get(key)
-        if entry is not None:
+        posterior = self._entries.get(key)
+        if posterior is not None:
             self._entries.move_to_end(key)
-            self._record_hit()
-            return entry[1]
-        if self.tol > 0:
-            approx = self._approximate_match(sigma_mat, noise_var, obs_idx)
-            if approx is not None:
-                self._record_hit()
-                return approx
+            self.hits += 1
+            get_metrics().inc("linalg_posterior_cache_hits_total")
+            return posterior
         self.misses += 1
         posterior = MaskedPosterior(sigma_mat, noise_var, obs_idx)
-        self._entries[key] = (sigma_mat, posterior)
+        self._entries[key] = posterior
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
         return posterior
-
-    def _approximate_match(self, sigma_mat: np.ndarray, noise_var: float,
-                           obs_idx: np.ndarray) -> Optional[MaskedPosterior]:
-        scale = max(float(np.max(np.abs(sigma_mat))), 1e-300)
-        for stored_sigma, posterior in reversed(self._entries.values()):
-            if (posterior.noise_var == noise_var
-                    and np.array_equal(posterior.obs_idx, obs_idx)
-                    and stored_sigma.shape == sigma_mat.shape
-                    and float(np.max(np.abs(stored_sigma - sigma_mat)))
-                    <= self.tol * scale):
-                return posterior
-        return None
-
-    def _record_hit(self) -> None:
-        self.hits += 1
-        get_metrics().inc("linalg_posterior_cache_hits_total")
 
     def clear(self) -> None:
         """Drop every cached factorization."""

@@ -15,9 +15,12 @@ exact-ML M-step guarantees the observed-data likelihood never decreases).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
+
+#: Psi as ``(scale, F)``: ``scale * I + F F'`` with F of shape (n, p).
+FactoredPsi = Tuple[float, np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -28,13 +31,16 @@ class NIWPrior:
         mu0: Prior mean of mu.  A scalar broadcasts across configurations.
         pi: Prior pseudo-count tying mu to mu0 (``pi = 0`` removes the
             pull entirely).
-        psi: Prior scale matrix of Sigma.  A scalar s means ``s * I``.
+        psi: Prior scale matrix of Sigma.  A scalar s means ``s * I``; a
+            pair ``(s, F)`` means ``s * I + F F'``, which keeps the fit in
+            its low-dimensional subspace; an ``(n, n)`` array is used as
+            given (and makes the fit run on all of R^n).
         nu: Prior degrees of freedom of Sigma.
     """
 
     mu0: Union[float, np.ndarray] = 0.0
     pi: float = 1.0
-    psi: Union[float, np.ndarray] = 1.0
+    psi: Union[float, FactoredPsi, np.ndarray] = 1.0
     nu: float = 1.0
 
     def __post_init__(self) -> None:
@@ -45,6 +51,15 @@ class NIWPrior:
         if np.isscalar(self.psi):
             if self.psi < 0:
                 raise ValueError(f"scalar psi must be >= 0, got {self.psi}")
+        elif isinstance(self.psi, tuple):
+            scale, factor = self.psi
+            factor = np.asarray(factor, dtype=float)
+            if scale < 0:
+                raise ValueError(f"psi scale must be >= 0, got {scale}")
+            if factor.ndim != 2:
+                raise ValueError(
+                    f"psi factor must be 2-D (n, p), got {factor.shape}")
+            object.__setattr__(self, "psi", (float(scale), factor))
         else:
             psi = np.asarray(self.psi)
             if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
@@ -66,10 +81,34 @@ class NIWPrior:
             raise ValueError(f"mu0 has shape {mu0.shape}, expected ({n},)")
         return mu0.copy()
 
+    @property
+    def psi_is_dense(self) -> bool:
+        """Whether Psi was given as a full matrix (no low-rank form)."""
+        return not (np.isscalar(self.psi) or isinstance(self.psi, tuple))
+
+    def psi_factors(self, n: int) -> FactoredPsi:
+        """Psi as ``(scale, F)`` with ``Psi = scale * I + F F'``.
+
+        F has shape ``(n, p)``; a scalar Psi has ``p = 0``.  A dense
+        Psi has no such form and raises ``ValueError``.
+        """
+        if np.isscalar(self.psi):
+            return float(self.psi), np.zeros((n, 0))
+        if not isinstance(self.psi, tuple):
+            raise ValueError("a dense psi has no low-rank form; "
+                             "use psi_matrix()")
+        scale, factor = self.psi
+        if factor.shape[0] != n:
+            raise ValueError(f"psi factor has {factor.shape[0]} rows, "
+                             f"expected {n}")
+        return scale, factor
+
     def psi_matrix(self, n: int) -> np.ndarray:
         """Psi materialized as an ``n x n`` matrix."""
-        if np.isscalar(self.psi):
-            return float(self.psi) * np.eye(n)
+        if not self.psi_is_dense:
+            scale, factor = self.psi_factors(n)
+            low_rank = factor @ factor.T
+            return scale * np.eye(n) + 0.5 * (low_rank + low_rank.T)
         psi = np.asarray(self.psi, dtype=float)
         if psi.shape != (n, n):
             raise ValueError(f"psi has shape {psi.shape}, expected ({n}, {n})")

@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.priors import NIWPrior
+from repro.core.priors import FactoredPsi, NIWPrior
 from repro.platform.config_space import Configuration, ConfigurationSpace
 from repro.platform.dvfs import NOMINAL_GHZ
 from repro.platform.hetero import HeteroConfiguration, HeteroTopology
@@ -331,32 +331,33 @@ def _offload_response(rates: np.ndarray, powers: np.ndarray,
 
 def block_psi(std_prior: np.ndarray,
               blocks: Sequence[Tuple[int, int, float]],
-              blend: float) -> Union[float, np.ndarray]:
+              blend: float) -> Union[float, FactoredPsi]:
     """Per-platform covariance blocks blended with the identity.
 
     ``std_prior`` is the prior table in the estimator's standardized
     space.  Each platform block contributes its own empirical
     configuration covariance, weighted by its similarity to the target;
-    the result is ``(1-blend) * I + blend * S`` — symmetric positive
-    semi-definite, and exactly the scalar ``1.0`` (the paper's
-    ``Psi = I``) when ``blend == 0``.
+    the result is ``Psi = (1-blend) * I + blend * S``, symmetric positive
+    semi-definite, returned in factored form ``(1 - blend, F)`` with
+    ``blend * S = F F'`` (F holds one scaled, centered prior row per
+    column), so the fit stays in its low-dimensional subspace.  It is
+    exactly the scalar ``1.0`` (the paper's ``Psi = I``) when
+    ``blend == 0``.
     """
     if not 0.0 <= blend <= 1.0:
         raise ValueError(f"blend must be in [0, 1], got {blend}")
     if blend == 0.0:
         return 1.0
-    n = std_prior.shape[1]
-    acc = np.zeros((n, n))
+    columns: List[np.ndarray] = []
     weight_rows = 0.0
     for start, stop, weight in blocks:
         rows = std_prior[start:stop]
         if rows.shape[0] == 0:
             continue
         centered = rows - rows.mean(axis=0)
-        acc += weight * (centered.T @ centered)
+        columns.append(np.sqrt(weight) * centered.T)
         weight_rows += weight * rows.shape[0]
     if weight_rows <= 0.0:
         return 1.0
-    scatter = acc / weight_rows
-    scatter = 0.5 * (scatter + scatter.T)
-    return (1.0 - blend) * np.eye(n) + blend * scatter
+    factor = np.sqrt(blend / weight_rows) * np.hstack(columns)
+    return 1.0 - blend, factor

@@ -42,8 +42,9 @@ class LEOEstimator(Estimator):
 
     #: Default EM budget.  The paper observes convergence "generally
     #: requiring 3-4 iterations to reach the desired accuracy" (Section
-    #: 5.5); five iterations at a loose tolerance reproduces both the
-    #: accuracy and the ~0.8 s fit overhead of Section 6.7.
+    #: 5.5); five iterations at a loose tolerance reproduce the accuracy.
+    #: A fit on the 1024-config space takes milliseconds, well under
+    #: the 0.8 s per quantity of Section 6.7.
     DEFAULT_EM_CONFIG = EMConfig(max_iterations=5, tol=1e-4)
 
     def __init__(self, prior: Optional[NIWPrior] = None,

@@ -179,11 +179,19 @@ class Histogram:
         ordered = sorted(self._values)
         n = len(ordered)
         if mode == "linear":
-            position = q * (n - 1) / 100.0
+            # numpy's arithmetic step for step: the index (n-1) * (q/100),
+            # and a two-sided lerp that measures from the nearer order
+            # statistic, so a weight near 1 cannot cancel catastrophically
+            # in a + (b - a) * t.
+            position = (n - 1) * (q / 100.0)
+            if position >= n - 1:
+                return ordered[-1]
             lower = int(math.floor(position))
-            upper = min(lower + 1, n - 1)
+            a, b = ordered[lower], ordered[lower + 1]
             fraction = position - lower
-            return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
+            if fraction >= 0.5:
+                return b - (b - a) * (1.0 - fraction)
+            return a + (b - a) * fraction
         if q == 0:
             return ordered[0]
         # Clamp below: q*n/100 underflows to 0.0 for subnormal q, and

@@ -5,18 +5,29 @@ every code path (the hierarchy, the frontier, the runtime) at a fraction
 of the 1024-configuration cost.  The full paper space is used where the
 behaviour under test depends on it (flattening order, online regression's
 15-coefficient threshold, integration tests).
+
+Property tests run under the derandomized ``tier1`` Hypothesis profile
+by default: every run draws the same examples, so the suite's verdict
+cannot change between runs.  ``HYPOTHESIS_PROFILE=default`` (Hypothesis'
+own profile) draws fresh examples instead, for hunting counterexamples.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.platform.config_space import ConfigurationSpace
 from repro.platform.machine import Machine
 from repro.platform.topology import PAPER_TOPOLOGY
 from repro.workloads.suite import get_benchmark, paper_suite
 from repro.workloads.traces import OfflineDataset
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture(scope="session")

@@ -2,14 +2,19 @@
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python tests/golden/generate_golden.py
+    PYTHONPATH=src python tests/golden/generate_golden.py [NAME ...]
+
+With fixture names (``em_subspace_niw``, ``leo_estimate``, ``hull_lp``,
+...) only those are rewritten; without, every fixture is.
 
 The fixtures pin down the numerical behaviour of the EM engine, the
 Pareto/hull geometry and the Eq. (1) LP *before* any hot-path
 optimisation: ``tests/test_golden_regression.py`` asserts that the
 current code reproduces these arrays to ``rtol=1e-9``.  They were first
 captured against the serial, unbatched implementation, so any batched or
-cached rewrite of the same math is provably behaviour-preserving.
+cached rewrite of the same math is provably behaviour-preserving;
+``em_subspace_niw`` (n = 256, fit subspace r = 72) was captured with the
+n-dimensional Woodbury E-step, before the subspace E-step replaced it.
 
 Only regenerate them when the *intended* numerics change (a new model,
 a different convergence rule), never to make an optimisation pass.
@@ -18,6 +23,7 @@ a different convergence rule), never to make an optimisation pass.
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import numpy as np
 
@@ -45,7 +51,9 @@ def make_observation_set(seed: int, num_apps: int, num_configs: int,
     ``"paper"`` mimics the paper's setting (fully observed priors plus a
     sparse target row); ``"multimask"`` gives three distinct observation
     masks shared across the applications, exercising the mask-group
-    batching in the E-step.
+    batching in the E-step; ``"subspace"`` is the paper layout at a
+    scale where the fit's subspace is much smaller than the space: a
+    20-coordinate target plus one partially observed prior row.
     """
     rng = np.random.default_rng(seed)
     sigma = _spd_covariance(rng, num_configs)
@@ -69,6 +77,14 @@ def make_observation_set(seed: int, num_apps: int, num_configs: int,
             patterns.append(pattern)
         for i in range(num_apps):
             mask[i] = patterns[i % len(patterns)]
+    elif layout == "subspace":
+        target_idx = rng.choice(num_configs, size=20, replace=False)
+        mask[-1] = False
+        mask[-1, target_idx] = True
+        partial_idx = rng.choice(num_configs, size=num_configs // 8,
+                                 replace=False)
+        mask[-2] = False
+        mask[-2, partial_idx] = True
     else:
         raise ValueError(f"unknown layout {layout!r}")
     return ObservationSet(values, mask)
@@ -80,11 +96,14 @@ EM_CASES = {
     "em_paper_niw": (7, 9, 12, "paper", True, True),
     "em_multimask_niw": (21, 9, 10, "multimask", True, True),
     "em_paper_dense": (7, 6, 8, "paper", True, False),
+    "em_subspace_niw": (31, 25, 256, "subspace", True, True),
 }
 
 
-def generate_em() -> None:
+def generate_em(names=None) -> None:
     for name, (seed, m, n, layout, use_prior, woodbury) in EM_CASES.items():
+        if names is not None and name not in names:
+            continue
         obs = make_observation_set(seed, m, n, layout)
         prior = NIWPrior.paper_default() if use_prior else None
         engine = EMEngine(prior=prior,
@@ -159,12 +178,18 @@ def generate_hull_lp() -> None:
                         energies=np.asarray(energies), slots=slots)
 
 
-def main() -> None:
-    generate_em()
-    generate_leo()
-    generate_hull_lp()
+def main(names=None) -> None:
+    wanted = set(names) if names else None
+    unknown = (wanted or set()) - set(EM_CASES) - {"leo_estimate", "hull_lp"}
+    if unknown:
+        raise SystemExit(f"unknown fixtures: {sorted(unknown)}")
+    generate_em(wanted)
+    if wanted is None or "leo_estimate" in wanted:
+        generate_leo()
+    if wanted is None or "hull_lp" in wanted:
+        generate_hull_lp()
     print(f"fixtures written to {HERE}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

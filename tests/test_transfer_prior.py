@@ -9,6 +9,7 @@ output.
 import numpy as np
 import pytest
 
+from repro.core.priors import NIWPrior
 from repro.core.transfer import (
     TransferPrior,
     alignment_features,
@@ -151,11 +152,27 @@ class TestBlockPsi:
 
     def test_blended_psi_is_symmetric_psd(self):
         std = np.random.default_rng(1).normal(size=(6, 10))
-        psi = block_psi(std, ((0, 3, 1.0), (3, 6, 0.4)), 0.35)
+        factored = block_psi(std, ((0, 3, 1.0), (3, 6, 0.4)), 0.35)
+        psi = NIWPrior(psi=factored).psi_matrix(10)
         assert psi.shape == (10, 10)
         assert np.array_equal(psi, psi.T)
         eigenvalues = np.linalg.eigvalsh(psi)
         assert eigenvalues.min() > 0.0
+
+    def test_factors_reproduce_the_blended_scatter(self):
+        """``(1 - blend) I + F F'`` is the blend of I and the weighted
+        per-block scatter, which the factors never materialize."""
+        std = np.random.default_rng(2).normal(size=(7, 9))
+        blocks = ((0, 4, 1.0), (4, 7, 0.25))
+        scale, factor = block_psi(std, blocks, 0.6)
+        scatter = np.zeros((9, 9))
+        for start, stop, weight in blocks:
+            centered = std[start:stop] - std[start:stop].mean(axis=0)
+            scatter += weight * centered.T @ centered
+        scatter /= 1.0 * 4 + 0.25 * 3
+        assert scale == pytest.approx(0.4)
+        np.testing.assert_allclose(factor @ factor.T, 0.6 * scatter,
+                                   rtol=1e-12, atol=1e-15)
 
 
 class TestTransferAwareLEO:
