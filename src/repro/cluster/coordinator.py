@@ -55,7 +55,6 @@ from repro.cluster.allocator import (
     TenantDemand,
 )
 from repro.cluster.partition import (
-    DEFAULT_CONTENTION_KAPPA,
     PartitionedMachine,
     TenantMachine,
     TenantSpace,
@@ -69,8 +68,12 @@ from repro.obs import Observability, get_observability, labeled
 from repro.obs import use as use_observability
 from repro.runtime.resilience import RECOVERABLE_EXCEPTIONS
 from repro.platform.config_space import ConfigurationSpace
-from repro.platform.topology import Topology
-from repro.runtime.controller import RuntimeController, TradeoffEstimate
+from repro.runtime.controller import (
+    QUANTUM_FRACTION,
+    RunWindow,
+    RuntimeController,
+    TradeoffEstimate,
+)
 from repro.runtime.phase_detector import PhaseDetector
 from repro.runtime.sampling import RandomSampler
 from repro.workloads.phases import PhasedWorkload
@@ -83,6 +86,10 @@ POLICIES = ("joint", "static", "race")
 
 #: Relative demand drift that triggers re-allocation under sticky budgets.
 _DRIFT_TOLERANCE = 0.02
+#: Epoch length as a fraction of the shortest live tenant's deadline.
+EPOCH_FRACTION = 0.1
+#: Seconds per calibration sample.
+SAMPLE_WINDOW = 0.5
 
 
 @dataclasses.dataclass
@@ -263,16 +270,9 @@ class ClusterCoordinator:
             ``"static"`` (equal budgets, no adaptation — the
             per-app-static-cap baseline), or ``"race"`` (equal budgets,
             race-to-idle within each — the heuristic baseline).
-        topology: Node topology; defaults to the space's.
-        epoch_fraction: Epoch length as a fraction of the shortest live
-            tenant's deadline.
         sample_count: Configurations measured per calibration.
-        sample_window: Seconds per calibration sample.
-        quantum_fraction: Controller quantum as a fraction of its epoch.
         cap_margin: Fraction of the cap withheld from the allocator as
             headroom for estimation error and measurement noise.
-        contention_kappa: Shared-memory contention coupling
-            (see :mod:`repro.cluster.partition`).
         seed: Base seed; all machine noise and sampling streams derive
             from it stably, so runs are reproducible.
         observability: Optional tracer/metrics bundle installed for the
@@ -281,13 +281,8 @@ class ClusterCoordinator:
 
     def __init__(self, space: ConfigurationSpace, cap_watts: float,
                  policy: str = "joint",
-                 topology: Optional[Topology] = None,
-                 epoch_fraction: float = 0.1,
                  sample_count: int = 12,
-                 sample_window: float = 0.5,
-                 quantum_fraction: float = 0.05,
                  cap_margin: float = 0.05,
-                 contention_kappa: float = DEFAULT_CONTENTION_KAPPA,
                  seed: int = 0,
                  observability: Optional[Observability] = None,
                  clock=None) -> None:
@@ -296,18 +291,10 @@ class ClusterCoordinator:
                              f"got {policy!r}")
         if cap_watts <= 0:
             raise ValueError(f"cap_watts must be positive, got {cap_watts}")
-        if not 0 < epoch_fraction <= 1:
-            raise ValueError(f"epoch_fraction must be in (0, 1], "
-                             f"got {epoch_fraction}")
         self.space = space
-        self.topology = topology if topology is not None else space.topology
         self.cap_watts = float(cap_watts)
         self.policy = policy
-        self.epoch_fraction = float(epoch_fraction)
         self.sample_count = int(sample_count)
-        self.sample_window = float(sample_window)
-        self.quantum_fraction = float(quantum_fraction)
-        self.contention_kappa = float(contention_kappa)
         self.seed = int(seed)
         self.observability = observability
         #: Optional :class:`~repro.clock.Clock`.  A *virtual* clock is
@@ -527,8 +514,7 @@ class ClusterCoordinator:
                 if epoch > max_epochs:
                     raise RuntimeError(
                         f"cluster run exceeded {max_epochs} epochs without "
-                        f"retiring all tenants (epoch_fraction too small, "
-                        f"or a deadline is unreachable)")
+                        f"retiring all tenants (a deadline is unreachable)")
             run_span.set_attribute("epochs", epoch)
             run_span.set_attribute("reallocations", reallocations)
         return ClusterReport(
@@ -543,7 +529,7 @@ class ClusterCoordinator:
         shortest = min([t.deadline for t in self._pending]
                        + [s.tenant.deadline for s in self._states.values()])
         return 16 + 4 * int(math.ceil(
-            horizon / max(self.epoch_fraction * shortest, 1e-9)))
+            horizon / max(EPOCH_FRACTION * shortest, 1e-9)))
 
     # ------------------------------------------------------------------
     # Membership mechanics
@@ -572,9 +558,7 @@ class ClusterCoordinator:
             return False
 
         if self.node is None:
-            self.node = PartitionedMachine(
-                self.space, [], topology=self.topology, seed=self.seed,
-                contention_kappa=self.contention_kappa)
+            self.node = PartitionedMachine(self.space, [], seed=self.seed)
         requests = self._partition_requests()
         with ob.tracer.span("cluster.repartition",
                             tenants=len(requests)):
@@ -603,7 +587,8 @@ class ClusterCoordinator:
                        if s.tenant.cores is not None)
         autos = [s.tenant.name for s in self._states.values()
                  if s.tenant.cores is None]
-        leftover = self.topology.total_cores - explicit
+        topology = self.space.topology
+        leftover = topology.total_cores - explicit
         if autos and leftover < len(autos):
             raise ValueError(
                 f"cannot fit tenants: {explicit} cores claimed explicitly "
@@ -619,16 +604,14 @@ class ClusterCoordinator:
                 cores = share + (1 if auto_index < spare else 0)
                 auto_index += 1
             threads = (tenant.threads if tenant.threads is not None
-                       else self.topology.threads_per_core * cores)
+                       else topology.threads_per_core * cores)
             requests.append((tenant.name, cores, threads))
         return requests
 
-    def _finalize(self, state: _TenantState, ob=None) -> TenantReport:
+    def _finalize(self, state: _TenantState, ob) -> TenantReport:
         tenant = state.tenant
         work_done = tenant.work - state.remaining_work
         met = work_done >= 0.99 * tenant.work
-        if ob is None:
-            ob = get_observability()
         # Per-tenant label dimension on the outcome counters: a
         # fleet-wide merge can still answer "which tenant burned the
         # deadline budget" (parse_labeled recovers the tenant name).
@@ -653,22 +636,29 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # Calibration and demands
     # ------------------------------------------------------------------
+    def _controller(self, state: _TenantState, space: ConfigurationSpace,
+                    prior_rates: Optional[np.ndarray],
+                    prior_powers: Optional[np.ndarray],
+                    stream: str, index: int) -> RuntimeController:
+        """A controller for one tenant over ``space``, sampling from the
+        ``stream``/``index`` cell of the coordinator's seed."""
+        return RuntimeController(
+            machine=state.machine, space=space,
+            estimator=state.estimator_obj,
+            prior_rates=prior_rates, prior_powers=prior_powers,
+            sampler=RandomSampler(seed=cell_seed(
+                self.seed, state.tenant.name, stream, index)),
+            sample_count=min(self.sample_count, len(space)),
+            sample_window=SAMPLE_WINDOW)
+
     def _calibrate(self, state: _TenantState, ob,
                    _retry: bool = True) -> None:
         tenant = state.tenant
         profile = tenant.profile_at(max(state.elapsed, 0.0))
         state.calibrations += 1
-        sampler = RandomSampler(seed=cell_seed(
-            self.seed, tenant.name, "calibrate", state.calibrations))
-        controller = RuntimeController(
-            machine=state.machine, space=state.tspace.space,
-            estimator=state.estimator_obj,
-            prior_rates=state.prior_rates_t,
-            prior_powers=state.prior_powers_t,
-            sampler=sampler,
-            sample_count=min(self.sample_count, len(state.tspace)),
-            sample_window=self.sample_window,
-            quantum_fraction=self.quantum_fraction)
+        controller = self._controller(
+            state, state.tspace.space, state.prior_rates_t,
+            state.prior_powers_t, "calibrate", state.calibrations)
         with ob.tracer.span("cluster.calibrate", tenant=tenant.name,
                             estimator=state.estimator_obj.name):
             try:
@@ -716,7 +706,7 @@ class ClusterCoordinator:
         return False
 
     def _epoch_step(self) -> float:
-        base = self.epoch_fraction * min(
+        base = EPOCH_FRACTION * min(
             s.tenant.deadline for s in self._states.values())
         remaining = [s.remaining_time for s in self._states.values()
                      if s.remaining_time > 1e-9]
@@ -789,15 +779,8 @@ class ClusterCoordinator:
                     state.remaining_work - work_done, 0.0)
                 tspan.set_attribute("work_done", work_done)
                 return peak
-            controller = RuntimeController(
-                machine=machine, space=fspace,
-                estimator=state.estimator_obj,
-                prior_rates=prior_r, prior_powers=prior_p,
-                sampler=RandomSampler(seed=cell_seed(
-                    self.seed, state.tenant.name, "inline", state.epochs)),
-                sample_count=min(self.sample_count, len(fspace)),
-                sample_window=self.sample_window,
-                quantum_fraction=self.quantum_fraction)
+            controller = self._controller(state, fspace, prior_r, prior_p,
+                                          "inline", state.epochs)
             report = controller.run(
                 profile, work, step, festimate,
                 adapt=(self.policy == "joint"), detector=state.detector)
@@ -827,30 +810,28 @@ class ClusterCoordinator:
                     festimate: TradeoffEstimate,
                     profile: ApplicationProfile, work: float,
                     step: float) -> Tuple[float, float]:
-        """Race-to-idle within the budget: fastest config, then idle."""
+        """Race-to-idle within the budget: fastest config, then idle.
+        Returns the epoch's peak draw and the work it completed."""
         machine.load(profile)
         fastest = int(np.argmax(festimate.rates))
         config = fspace[fastest]
         believed_power = float(festimate.powers[fastest])
-        quantum = max(step * self.quantum_fraction, 1e-6)
-        time_left = step
-        work_left = work
-        peak = 0.0
-        while time_left > 1e-9 * step:
-            slice_s = min(quantum, time_left)
-            if work_left <= 1e-9 * max(work, 1.0):
-                machine.idle_for(slice_s)
-                peak = max(peak, machine.idle_power())
+        quantum = max(step * QUANTUM_FRACTION, 1e-6)
+        window = RunWindow.open(machine, work, step)
+        while window.running:
+            slice_s = min(quantum, window.time_left)
+            if window.finished:
+                window.idle(machine, slice_s)
+                continue
+            machine.apply(config)
+            try:
+                measurement = machine.run_for(slice_s)
+            except SensorReadError:
+                # Observation lost: credit no work, account the believed
+                # draw so the epoch peak stays honest.
+                window.advance(slice_s, 0.0, believed_power, 0.0)
             else:
-                machine.apply(config)
-                try:
-                    measurement = machine.run_for(slice_s)
-                except SensorReadError:
-                    # Observation lost: credit no work, account the
-                    # believed draw so the epoch peak stays honest.
-                    peak = max(peak, believed_power)
-                else:
-                    work_left -= measurement.heartbeats
-                    peak = max(peak, measurement.system_power)
-            time_left -= slice_s
-        return peak, work - max(work_left, 0.0)
+                window.advance(slice_s, measurement.heartbeats,
+                               measurement.system_power, measurement.rate)
+        report = window.report(machine)
+        return max(report.power_trace), report.work_done

@@ -13,8 +13,8 @@ docs/OBSERVABILITY.md for the span/metric reference):
   ``fit_seconds``, ``sampling_energy_joules``,
   ``constraint_violation_ratio``) with a :meth:`~MetricsRegistry.snapshot`
   export.
-* **Profiling** — :func:`start_timer` / :func:`stop_timer` /
-  :func:`timed` hooks on the EM, hull, and LP hot paths.
+* **Profiling** — :func:`start_timer` / :func:`stop_timer` hooks on
+  the EM, hull, and LP hot paths.
 
 Everything is **off by default**: the ambient context holds null
 implementations whose operations are single no-op calls, so the Section
@@ -72,7 +72,7 @@ from repro.obs.metrics import (
     labeled,
     parse_labeled,
 )
-from repro.obs.profiling import start_timer, stop_timer, timed, timer
+from repro.obs.profiling import start_timer, stop_timer
 from repro.obs.propagation import (
     TraceContext,
     current_trace_context,
@@ -137,8 +137,6 @@ __all__ = [
     "DEFAULT_OBJECTIVES",
     "start_timer",
     "stop_timer",
-    "timer",
-    "timed",
     "StructuredFormatter",
     "logging_setup",
 ]

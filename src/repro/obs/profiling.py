@@ -9,22 +9,16 @@ written so the disabled path never calls ``perf_counter``:
     started = start_timer()            # None when metrics are disabled
     ...                                # the timed work
     stop_timer("linalg_posterior_seconds", started)
-
-or, for whole functions, the :func:`timed` decorator.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import time
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Optional
 
 from repro.obs.context import get_metrics
 
-__all__ = ["start_timer", "stop_timer", "timer", "timed"]
-
-_F = TypeVar("_F", bound=Callable)
+__all__ = ["start_timer", "stop_timer"]
 
 
 def start_timer() -> Optional[float]:
@@ -43,26 +37,3 @@ def stop_timer(name: str, started: Optional[float]) -> None:
     if started is not None:
         get_metrics().observe(name, time.perf_counter() - started)
 
-
-@contextlib.contextmanager
-def timer(name: str) -> Iterator[None]:
-    """Context-manager form: time the block into histogram ``name``."""
-    started = start_timer()
-    try:
-        yield
-    finally:
-        stop_timer(name, started)
-
-
-def timed(name: str) -> Callable[[_F], _F]:
-    """Decorator form: time every call into histogram ``name``."""
-    def decorate(fn: _F) -> _F:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            started = start_timer()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                stop_timer(name, started)
-        return wrapper  # type: ignore[return-value]
-    return decorate

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import SensorReadError
+from repro.errors import CheckpointError, SensorReadError
 from repro.faults.context import get_injector
 from repro.platform.config_space import Configuration, ConfigurationSpace
 from repro.platform.performance_model import PerformanceModel
@@ -190,6 +190,42 @@ class Machine:
         self.clock += duration
         self.total_energy += energy
         return energy
+
+    # ------------------------------------------------------------------
+    # Checkpoint / recovery
+    # ------------------------------------------------------------------
+    def snapshot(self, space: ConfigurationSpace) -> dict:
+        """Clock, counters, applied configuration (its index in
+        ``space``) and noise stream, as plain JSON.  A thermally-modelled
+        machine refuses: its integrator state is not serialized, and a
+        silent mismatch would break a resumed run's bit-equality."""
+        if self.thermal is not None:
+            raise CheckpointError(
+                "checkpointing a thermally-modelled machine is not "
+                "supported (the thermal integrator state is not "
+                "serialized)")
+        config = self._config
+        index = (space.index_of(config)
+                 if config is not None and config in space else None)
+        return {"clock": self.clock, "total_energy": self.total_energy,
+                "total_heartbeats": self.total_heartbeats,
+                "config_index": index,
+                "rng_state": self._rng.bit_generator.state}
+
+    def restore(self, snapshot: dict, space: ConfigurationSpace) -> None:
+        """Return to a :meth:`snapshot` taken over ``space``."""
+        index = snapshot.get("config_index")
+        if index is not None and not 0 <= int(index) < len(space):
+            raise CheckpointError(
+                f"checkpointed configuration {index} is outside this "
+                f"{len(space)}-configuration space")
+        self.clock = float(snapshot["clock"])
+        self.total_energy = float(snapshot["total_energy"])
+        self.total_heartbeats = float(snapshot["total_heartbeats"])
+        if snapshot.get("rng_state") is not None:
+            self._rng.bit_generator.state = snapshot["rng_state"]
+        if index is not None:
+            self.apply(space[int(index)])
 
     # ------------------------------------------------------------------
     # Profiling sweeps

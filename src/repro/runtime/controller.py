@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import logging
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,23 +56,29 @@ from repro.workloads.profile import ApplicationProfile
 
 logger = logging.getLogger(__name__)
 
+#: Control quantum of every runtime loop, as a fraction of its window.
+QUANTUM_FRACTION = 0.05
+#: Relative rate deviation tolerated at a configuration the run has not
+#: measured yet before the phase detector counts it (estimation error
+#: there is easily mistaken for a phase change).
+NOVEL_CONFIG_TOLERANCE = 0.35
+#: Extra work the remaining-horizon LP plans for, absorbing optimistic
+#: rate estimates on the frontier's legs.
+SAFETY_MARGIN = 0.04
+#: Version of the checkpoint payload :meth:`RunState.to_payload` writes.
+CHECKPOINT_SCHEMA = 1
 
-def _plain(value):
-    """Recursively convert numpy scalars to JSON-clean Python values."""
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+
+def _rng_state(owner) -> Optional[dict]:
+    """``owner``'s Generator state (PCG64's is plain JSON), or ``None``."""
+    rng = getattr(owner, "_rng", None)
+    return None if rng is None else rng.bit_generator.state
 
 
-def _rng_state(rng) -> Optional[dict]:
-    """A numpy Generator's JSON-clean state (``None`` passes through)."""
-    if rng is None:
-        return None
-    return _plain(rng.bit_generator.state)
+def _restore_rng(owner, state: Optional[dict]) -> None:
+    rng = getattr(owner, "_rng", None)
+    if rng is not None and state is not None:
+        rng.bit_generator.state = state
 
 
 class TradeoffEstimate:
@@ -195,6 +201,190 @@ class RunReport:
     rate_trace: List[float]
 
 
+@dataclasses.dataclass
+class RunWindow:
+    """The bookkeeping of one execution window, shared by every loop.
+
+    Each runtime loop spends ``deadline`` seconds on ``work`` heartbeats
+    in quanta and accounts each executed slice here: ``time_left`` and
+    ``work_left`` count down (``work_left`` goes negative on overshoot),
+    the traces grow, and ``energy_start`` is the machine's total energy
+    when the window opened.
+    """
+
+    work: float
+    deadline: float
+    energy_start: float
+    time_left: float
+    work_left: float
+    power_trace: List[float]
+    rate_trace: List[float]
+
+    @classmethod
+    def open(cls, machine: Machine, work: float, deadline: float,
+             **fields):
+        """A window opening now; ``fields`` fill a subclass's attributes."""
+        if work < 0:
+            raise ValueError(f"work must be >= 0, got {work}")
+        if deadline <= 0:
+            raise ValueError(f"deadline must be positive, got {deadline}")
+        return cls(work=work, deadline=deadline,
+                   energy_start=machine.total_energy, time_left=deadline,
+                   work_left=work, power_trace=[], rate_trace=[], **fields)
+
+    @property
+    def quantum(self) -> float:
+        """The control quantum, a fixed fraction of the window."""
+        return self.deadline * QUANTUM_FRACTION
+
+    @property
+    def running(self) -> bool:
+        """Whether any of the window is left."""
+        return self.time_left > 1e-9 * self.deadline
+
+    @property
+    def finished(self) -> bool:
+        """Whether the demanded work is done."""
+        return self.work_left <= 1e-9 * max(self.work, 1.0)
+
+    def advance(self, seconds: float, heartbeats: float, power: float,
+                rate: float) -> None:
+        """Account one executed slice of the window."""
+        self.work_left -= heartbeats
+        self.time_left -= seconds
+        self.power_trace.append(power)
+        self.rate_trace.append(rate)
+
+    def idle(self, machine: Machine, seconds: float) -> None:
+        """Idle ``machine`` for ``seconds`` of the window."""
+        machine.idle_for(seconds)
+        self.advance(seconds, 0.0, machine.idle_power(), 0.0)
+
+    def report(self, machine: Machine, reestimations: int = 0) -> RunReport:
+        """The window's outcome on ``machine``."""
+        work_done = self.work - max(self.work_left, 0.0)
+        return RunReport(
+            energy=machine.total_energy - self.energy_start,
+            work_done=work_done, work_target=self.work,
+            deadline=self.deadline, met_target=work_done >= 0.99 * self.work,
+            reestimations=reestimations,
+            power_trace=self.power_trace, rate_trace=self.rate_trace,
+        )
+
+
+#: :class:`RunState`'s scalar checkpoint fields and their JSON types.
+_SCALAR_FIELDS = (("work", float), ("deadline", float),
+                  ("energy_start", float), ("time_left", float),
+                  ("work_left", float), ("adapt", bool),
+                  ("quantum_index", int), ("reestimations", int))
+#: The estimate's span-derived bookkeeping, checkpointed as plain values.
+_ESTIMATE_BOOKKEEPING = ("sampling_time", "sampling_energy",
+                         "sampling_heartbeats", "fit_seconds")
+
+
+@dataclasses.dataclass
+class RunState(RunWindow):
+    """The LEO controller's run: its window plus the model it re-solves.
+
+    The state *is* the checkpoint: :meth:`to_payload` serializes it and
+    :meth:`from_payload` rebuilds it.  ``rates`` and ``powers`` are
+    working copies of the estimate that measured feedback corrects in
+    place (the runtime's gradient ascent, Section 6.6); ``visited``
+    holds the configurations measured since the last (re-)estimate.
+    ``idle_power`` and the derived ``minimizer`` are not serialized.
+    The state mutates in place, so no quantum copies curves or traces.
+    """
+
+    profile: ApplicationProfile
+    adapt: bool
+    estimate: TradeoffEstimate
+    rates: np.ndarray
+    powers: np.ndarray
+    idle_power: float
+    quantum_index: int = 0
+    reestimations: int = 0
+    visited: Set[int] = dataclasses.field(default_factory=set)
+    minimizer: EnergyMinimizer = dataclasses.field(init=False, repr=False,
+                                                   compare=False)
+
+    def __post_init__(self) -> None:
+        self._rebuild_minimizer()
+
+    def _rebuild_minimizer(self) -> None:
+        self.minimizer = EnergyMinimizer(self.rates, self.powers,
+                                         self.idle_power)
+
+    def adopt(self, estimate: TradeoffEstimate) -> None:
+        """Replace the curves after a promotion or a re-calibration."""
+        self.estimate = estimate
+        self.rates = estimate.rates.copy()
+        self.powers = estimate.powers.copy()
+        self._rebuild_minimizer()
+        self.visited.clear()
+
+    def correct(self, index: int, rate: float, power: float) -> None:
+        """Fold one configuration's measurement into the curves."""
+        self.rates[index] = rate
+        self.powers[index] = power
+        self._rebuild_minimizer()
+
+    def to_payload(self) -> dict:
+        """The checkpoint's run state, as plain JSON."""
+        estimate = self.estimate
+        payload = {name: kind(getattr(self, name))
+                   for name, kind in _SCALAR_FIELDS}
+        payload.update(
+            schema_version=CHECKPOINT_SCHEMA, profile=self.profile.name,
+            rates=self.rates.tolist(), powers=self.powers.tolist(),
+            estimate={"rates": estimate.rates.tolist(),
+                      "powers": estimate.powers.tolist(),
+                      "estimator_name": estimate.estimator_name,
+                      **{key: getattr(estimate, key)
+                         for key in _ESTIMATE_BOOKKEEPING}},
+            visited=sorted(int(i) for i in self.visited),
+            power_trace=[float(x) for x in self.power_trace],
+            rate_trace=[float(x) for x in self.rate_trace])
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: dict, profile: ApplicationProfile,
+                     num_configs: int, idle_power: float) -> "RunState":
+        """Rebuild a run of ``profile`` over ``num_configs`` configurations.
+
+        Raises :class:`CheckpointError` for another schema, another
+        application, or curves of another length (a checkpoint taken on
+        a different configuration space).
+        """
+        schema = payload.get("schema_version", CHECKPOINT_SCHEMA)
+        if schema != CHECKPOINT_SCHEMA:
+            raise CheckpointError(
+                f"checkpoint schema_version {schema!r} is not supported")
+        if payload.get("profile") != profile.name:
+            raise CheckpointError(
+                f"checkpoint was taken for application "
+                f"{payload.get('profile')!r}, not {profile.name!r}")
+        est = payload["estimate"]
+        estimate = TradeoffEstimate(
+            rates=est["rates"], powers=est["powers"],
+            estimator_name=est["estimator_name"],
+            **{key: est[key] for key in _ESTIMATE_BOOKKEEPING})
+        rates = np.asarray(payload["rates"], dtype=float)
+        powers = np.asarray(payload["powers"], dtype=float)
+        sizes = {curve.size for curve in (rates, powers, estimate.rates,
+                                          estimate.powers)}
+        if sizes != {num_configs}:
+            raise CheckpointError(
+                f"checkpoint curves cover {sorted(sizes)} configurations; "
+                f"this controller's space has {num_configs}")
+        return cls(
+            **{name: kind(payload[name]) for name, kind in _SCALAR_FIELDS},
+            power_trace=[float(x) for x in payload["power_trace"]],
+            rate_trace=[float(x) for x in payload["rate_trace"]],
+            profile=profile, estimate=estimate, rates=rates, powers=powers,
+            idle_power=idle_power,
+            visited={int(i) for i in payload["visited"]})
+
+
 class RuntimeController:
     """Sample/estimate/optimize/actuate loop over a simulated machine.
 
@@ -209,18 +399,10 @@ class RuntimeController:
         sampler: Strategy choosing which configurations to measure.
         sample_count: Configurations measured per calibration.
         sample_window: Seconds per sample measurement.
-        quantum_fraction: Control quantum as a fraction of the deadline.
         observability: Optional tracer/metrics bundle installed as the
             ambient context for every :meth:`calibrate` / :meth:`run`
             call; ``None`` (the default) inherits whatever the caller
             installed via :func:`repro.obs.use`.
-        fallback_estimators: Lower rungs of the estimator degradation
-            ladder (see :mod:`repro.runtime.resilience`), tried in order
-            when the configured estimator fails recoverably.  ``None``
-            (the default) selects the standard chain — ``online``
-            regression, then the ``offline`` prior mean when priors
-            exist; an explicit empty sequence disables estimator
-            fallbacks, leaving only the terminal pinned tier.
         promotion_cooldown: Consecutive healthy quanta a degraded
             controller waits before probing one ladder rung back up.
     """
@@ -232,11 +414,7 @@ class RuntimeController:
                  sampler: Optional[Sampler] = None,
                  sample_count: int = 20,
                  sample_window: float = 1.0,
-                 quantum_fraction: float = 0.05,
-                 novel_config_tolerance: float = 0.35,
-                 safety_margin: float = 0.04,
                  observability: Optional[Observability] = None,
-                 fallback_estimators: Optional[Sequence[Estimator]] = None,
                  promotion_cooldown: int = 8,
                  clock=None,
                  promotion_cooldown_s: Optional[float] = None) -> None:
@@ -244,19 +422,6 @@ class RuntimeController:
             raise ValueError(f"sample_count must be >= 1, got {sample_count}")
         if sample_window <= 0:
             raise ValueError(f"sample_window must be positive, got {sample_window}")
-        if not 0 < quantum_fraction <= 1:
-            raise ValueError(
-                f"quantum_fraction must be in (0, 1], got {quantum_fraction}"
-            )
-        if novel_config_tolerance <= 0:
-            raise ValueError(
-                f"novel_config_tolerance must be positive, got "
-                f"{novel_config_tolerance}"
-            )
-        if safety_margin < 0:
-            raise ValueError(
-                f"safety_margin must be >= 0, got {safety_margin}"
-            )
         if promotion_cooldown < 1:
             raise ValueError(
                 f"promotion_cooldown must be >= 1, got {promotion_cooldown}"
@@ -274,9 +439,6 @@ class RuntimeController:
         self.sampler = sampler if sampler is not None else RandomSampler(seed=0)
         self.sample_count = sample_count
         self.sample_window = sample_window
-        self.quantum_fraction = quantum_fraction
-        self.novel_config_tolerance = novel_config_tolerance
-        self.safety_margin = safety_margin
         self.observability = observability
         self.promotion_cooldown = promotion_cooldown
         #: Optional :class:`~repro.clock.Clock`.  A *virtual* clock is
@@ -293,7 +455,6 @@ class RuntimeController:
         # fallback estimators exist only once the controller actually
         # estimates (and so construction stays cheap for callers that
         # bring their own estimate).
-        self._fallback_estimators = fallback_estimators
         self._ladder: Optional[DegradationLadder] = None
         #: The estimate in force at the end of the most recent run().
         self.last_estimate: Optional[TradeoffEstimate] = None
@@ -336,16 +497,15 @@ class RuntimeController:
         return self._ladder
 
     def _build_ladder(self) -> DegradationLadder:
+        """The configured estimator, then ``online`` regression, then the
+        ``offline`` prior mean when priors exist, then the pinned tier
+        (see :mod:`repro.runtime.resilience`)."""
+        from repro.estimators.registry import create_estimator
         tiers = [Tier(self.estimator.name, self.estimator)]
-        fallbacks = self._fallback_estimators
-        if fallbacks is None:
-            from repro.estimators.registry import create_estimator
-            names = ["online"]
-            if (self.prior_rates is not None
-                    and self.prior_powers is not None):
-                names.append("offline")
-            fallbacks = [create_estimator(name) for name in names]
-        for fallback in fallbacks:
+        names = ["online"]
+        if self.prior_rates is not None and self.prior_powers is not None:
+            names.append("offline")
+        for fallback in [create_estimator(name) for name in names]:
             if fallback.name not in {tier.name for tier in tiers}:
                 tiers.append(Tier(fallback.name, fallback))
         tiers.append(Tier(PINNED_TIER, None))
@@ -555,245 +715,166 @@ class RuntimeController:
         boundaries so a crashed run can be continued with
         :meth:`resume`, bit-equal to the uninterrupted run.
         """
-        if work < 0:
-            raise ValueError(f"work must be >= 0, got {work}")
-        if deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
         with self._obs_scope():
-            return self._run_traced(profile, work, deadline, estimate,
-                                    adapt, detector,
-                                    checkpointer=checkpointer)
+            state = RunState.open(
+                self.machine, work, deadline, profile=profile, adapt=adapt,
+                estimate=estimate, rates=estimate.rates.copy(),
+                powers=estimate.powers.copy(),
+                idle_power=self.machine.idle_power())
+            self.machine.load(profile)
+            return self._drive(state, detector, checkpointer)
 
-    def _run_traced(self, profile: ApplicationProfile, work: float,
-                    deadline: float, estimate: TradeoffEstimate,
-                    adapt: bool, detector: Optional[PhaseDetector],
-                    checkpointer=None,
-                    resume_state: Optional[dict] = None) -> RunReport:
+    def _drive(self, state: RunState, detector: Optional[PhaseDetector],
+               checkpointer) -> RunReport:
+        """Advance ``state`` quantum by quantum to the end of its window."""
         ob = get_observability()
         tracer = ob.tracer
-        if resume_state is None:
-            self.machine.load(profile)
-        if adapt and detector is None:
+        if state.adapt and detector is None:
             detector = PhaseDetector()
-
-        # Local working copies: measured feedback corrects the executed
-        # configurations, which is the runtime's gradient-ascent behaviour
-        # ("all use gradient ascent to increase performance until the
-        # demand is met", Section 6.6).
-        if resume_state is None:
-            rates = estimate.rates.copy()
-            powers = estimate.powers.copy()
-            energy_before = self.machine.total_energy
-            time_left = deadline
-            work_left = work
-            reestimations = 0
-            quantum_index = 0
-            visited: set = set()
-            power_trace: List[float] = []
-            rate_trace: List[float] = []
-        else:
-            rates = np.asarray(resume_state["rates"], dtype=float)
-            powers = np.asarray(resume_state["powers"], dtype=float)
-            energy_before = float(resume_state["energy_start"])
-            time_left = float(resume_state["time_left"])
-            work_left = float(resume_state["work_left"])
-            reestimations = int(resume_state["reestimations"])
-            quantum_index = int(resume_state["quantum_index"])
-            visited = {int(i) for i in resume_state["visited"]}
-            power_trace = [float(x) for x in resume_state["power_trace"]]
-            rate_trace = [float(x) for x in resume_state["rate_trace"]]
-        minimizer = EnergyMinimizer(rates, powers, self.machine.idle_power())
-        quantum = deadline * self.quantum_fraction
+        quantum = state.quantum
         anchor = self._clock_anchor()
 
-        with tracer.span("controller.run", work=work, deadline=deadline,
-                         estimator=estimate.estimator_name,
-                         adapt=adapt) as run_span:
-            while time_left > 1e-9 * deadline:
+        with tracer.span("controller.run", work=state.work,
+                         deadline=state.deadline,
+                         estimator=state.estimate.estimator_name,
+                         adapt=state.adapt) as run_span:
+            while state.running:
                 self._sync_clock(anchor)
                 if checkpointer is not None:
                     checkpointer.maybe_save(
-                        quantum_index,
-                        lambda: self._snapshot_run_state(
-                            profile, work, deadline, adapt,
-                            quantum_index=quantum_index,
-                            time_left=time_left, work_left=work_left,
-                            reestimations=reestimations, rates=rates,
-                            powers=powers, estimate=estimate,
-                            visited=visited, power_trace=power_trace,
-                            rate_trace=rate_trace,
-                            energy_before=energy_before,
-                            detector=detector))
+                        state.quantum_index,
+                        lambda: self._checkpoint(state, detector))
                 ladder = self._ladder
                 if (ladder is not None and ladder.promotion_ready
-                        and work_left > 1e-9 * max(work, 1.0)
-                        and time_left > quantum):
+                        and not state.finished and state.time_left > quantum):
                     # The breaker cooled down: probe one rung up with a
                     # short re-calibration, charged to this run like any
                     # inline re-calibration.
-                    probe, elapsed = self._attempt_promotion(profile)
-                    time_left -= elapsed
+                    probe, elapsed = self._attempt_promotion(state.profile)
+                    state.time_left -= elapsed
                     if probe is not None:
-                        work_left -= probe.sampling_heartbeats
-                        estimate = probe
-                        rates = estimate.rates.copy()
-                        powers = estimate.powers.copy()
-                        minimizer = EnergyMinimizer(
-                            rates, powers, self.machine.idle_power())
-                        visited.clear()
+                        state.work_left -= probe.sampling_heartbeats
+                        state.adopt(probe)
                     continue
-                quantum_index += 1
+                state.quantum_index += 1
                 ob.metrics.inc("quanta_total")
                 with tracer.span("controller.quantum",
-                                 index=quantum_index) as qspan:
-                    step = min(quantum, time_left)
-                    if work_left <= 1e-9 * max(work, 1.0):
-                        self.machine.idle_for(step)
-                        power_trace.append(self.machine.idle_power())
-                        rate_trace.append(0.0)
-                        time_left -= step
-                        qspan.set_attribute("idle", True)
-                        if ladder is not None:
-                            ladder.note_healthy_quantum()
-                        continue
-
-                    slot = self._next_slot(minimizer, work_left, time_left)
-                    if slot is None or slot.config_index is None:
-                        self.machine.idle_for(step)
-                        power_trace.append(self.machine.idle_power())
-                        rate_trace.append(0.0)
-                        time_left -= step
-                        qspan.set_attribute("idle", True)
-                        if ladder is not None:
-                            ladder.note_healthy_quantum()
-                        continue
-                    config_index = slot.config_index
-                    # Respect the plan: the slow leg only gets its allotted
-                    # share of the remaining window (running it longer
-                    # starves the fast leg and misses the work target).
-                    step = min(step, max(slot.duration, 1e-3 * quantum))
-
-                    # Trim the step so the work is not overshot at high
-                    # power: once the remaining work needs less than a
-                    # quantum at this configuration's (believed) rate, run
-                    # only that long.
-                    believed_rate = float(rates[config_index])
-                    if believed_rate > 0:
-                        step = min(step, max(work_left / believed_rate, 1e-6))
-                    self.machine.apply(self.space[config_index])
-                    try:
-                        measurement = self.machine.run_for(step)
-                    except SensorReadError:
-                        # The quantum ran (the machine advanced and drew
-                        # power) but its observation was lost: charge the
-                        # time, credit no work (conservative — unobserved
-                        # progress is re-done), and record the model's
-                        # believed behaviour in the traces.
-                        time_left -= step
-                        power_trace.append(float(powers[config_index]))
-                        rate_trace.append(float(rates[config_index]))
-                        qspan.set_attribute("sensor_dropout", True)
-                        ob.metrics.inc("fault_lost_quanta_total")
-                        if ladder is not None:
-                            ladder.note_fault()
-                        continue
-                    work_left -= measurement.heartbeats
-                    time_left -= step
-                    power_trace.append(measurement.system_power)
-                    rate_trace.append(measurement.rate)
-                    qspan.set_attribute("config_index", int(config_index))
-                    qspan.set_attribute("step", step)
-                    qspan.set_attribute("measured_rate", measurement.rate)
-                    qspan.set_attribute("measured_power",
-                                        measurement.system_power)
-
-                    # The model's expectation before feedback, for phase
-                    # detection.
-                    expected = float(rates[config_index])
-                    deviation = (abs(measurement.rate - expected) / expected
-                                 if expected > 0 else 0.0)
-                    # Deviation at a previously *measured* configuration is
-                    # evidence of a behavioural change; at a first visit it
-                    # may just be estimation error, so the bar is higher
-                    # there.
-                    limit = (detector.threshold
-                             if detector is not None
-                             and config_index in visited
-                             else self.novel_config_tolerance)
-                    anomalous = (adapt and detector is not None
-                                 and deviation > limit)
-
-                    if anomalous:
-                        # Let the detector accumulate evidence instead of
-                        # silently absorbing the anomaly into one entry.
-                        if detector.update(expected, measurement.rate,
-                                           threshold=limit):
-                            estimate = self._recalibrate(profile, estimate)
-                            rates = estimate.rates.copy()
-                            powers = estimate.powers.copy()
-                            minimizer = EnergyMinimizer(
-                                rates, powers, self.machine.idle_power())
-                            visited.clear()
-                            reestimations += 1
-                            qspan.set_attribute("recalibrated", True)
-                            ob.metrics.inc("reestimations_total")
-                            logger.info(
-                                "phase change: re-calibrated inline",
-                                extra={"fields": {
-                                    "quantum": quantum_index,
-                                    "deviation": deviation,
-                                    "reestimations": reestimations}})
-                            # Re-calibration consumed wall-clock time, but
-                            # the application kept making progress while
-                            # sampled.
-                            time_left -= estimate.sampling_time
-                            work_left -= estimate.sampling_heartbeats
-                    else:
-                        if adapt and detector is not None:
-                            detector.update(expected, measurement.rate,
-                                            threshold=limit)
-                        visited.add(config_index)
-                        if (abs(measurement.rate - rates[config_index])
-                                > 0.02 * rates[config_index]
-                                or abs(measurement.system_power
-                                       - powers[config_index])
-                                > 0.02 * powers[config_index]):
-                            # Routine feedback: fold the measurement into
-                            # this configuration's entry (gradient-ascent
-                            # correction).
-                            rates[config_index] = measurement.rate
-                            powers[config_index] = measurement.system_power
-                            minimizer = EnergyMinimizer(
-                                rates, powers, self.machine.idle_power())
+                                 index=state.quantum_index) as qspan:
+                    observed = self._quantum(state, detector, qspan)
                     if ladder is not None:
-                        ladder.note_healthy_quantum()
+                        if observed:
+                            ladder.note_healthy_quantum()
+                        else:
+                            ladder.note_fault()
 
             self._sync_clock(anchor)
-            work_done = work - max(work_left, 0.0)
-            met_target = work_done >= 0.99 * work
-            run_span.set_attribute("work_done", work_done)
-            run_span.set_attribute("met_target", met_target)
-            run_span.set_attribute("reestimations", reestimations)
+            report = state.report(self.machine, state.reestimations)
+            run_span.set_attribute("work_done", report.work_done)
+            run_span.set_attribute("met_target", report.met_target)
+            run_span.set_attribute("reestimations", state.reestimations)
             ob.metrics.set_gauge(
                 "constraint_violation_ratio",
-                max(0.0, 1.0 - work_done / work) if work > 0 else 0.0)
+                max(0.0, 1.0 - report.work_done / state.work)
+                if state.work > 0 else 0.0)
 
-        if not met_target:
+        if not report.met_target:
             logger.debug("performance demand missed",
-                         extra={"fields": {"work_done": work_done,
-                                           "work_target": work}})
+                         extra={"fields": {"work_done": report.work_done,
+                                           "work_target": state.work}})
         #: Exposed so phased runs can carry re-calibrated estimates forward.
-        self.last_estimate = estimate
-        return RunReport(
-            energy=self.machine.total_energy - energy_before,
-            work_done=work_done, work_target=work, deadline=deadline,
-            met_target=met_target,
-            reestimations=reestimations,
-            power_trace=power_trace, rate_trace=rate_trace,
-        )
+        self.last_estimate = state.estimate
+        return report
 
-    def _next_slot(self, minimizer: EnergyMinimizer, work_left: float,
-                   time_left: float) -> Optional[Slot]:
+    def _quantum(self, state: RunState, detector: Optional[PhaseDetector],
+                 span: Span) -> bool:
+        """Execute one control quantum of ``state``.
+
+        Returns False when a sensor fault lost the quantum's observation.
+        """
+        quantum = state.quantum
+        step = min(quantum, state.time_left)
+        slot = None if state.finished else self._next_slot(state)
+        if slot is None or slot.config_index is None:
+            state.idle(self.machine, step)
+            span.set_attribute("idle", True)
+            return True
+        config_index = slot.config_index
+        rates, powers = state.rates, state.powers
+        # Respect the plan: the slow leg only gets its allotted share of
+        # the remaining window (running it longer starves the fast leg
+        # and misses the work target).
+        step = min(step, max(slot.duration, 1e-3 * quantum))
+
+        # Trim the step so the work is not overshot at high power: once
+        # the remaining work needs less than a quantum at this
+        # configuration's (believed) rate, run only that long.
+        believed_rate = float(rates[config_index])
+        if believed_rate > 0:
+            step = min(step, max(state.work_left / believed_rate, 1e-6))
+        self.machine.apply(self.space[config_index])
+        try:
+            measurement = self.machine.run_for(step)
+        except SensorReadError:
+            # The quantum ran (the machine advanced and drew power) but
+            # its observation was lost: charge the time, credit no work
+            # (conservative — unobserved progress is re-done), and record
+            # the model's believed behaviour in the traces.
+            state.advance(step, 0.0, float(powers[config_index]),
+                          float(rates[config_index]))
+            span.set_attribute("sensor_dropout", True)
+            get_observability().metrics.inc("fault_lost_quanta_total")
+            return False
+        state.advance(step, measurement.heartbeats, measurement.system_power,
+                      measurement.rate)
+        span.set_attribute("config_index", int(config_index))
+        span.set_attribute("step", step)
+        span.set_attribute("measured_rate", measurement.rate)
+        span.set_attribute("measured_power", measurement.system_power)
+
+        # The model's expectation before feedback, for phase detection.
+        expected = float(rates[config_index])
+        deviation = (abs(measurement.rate - expected) / expected
+                     if expected > 0 else 0.0)
+        # Deviation at a previously *measured* configuration is evidence
+        # of a behavioural change; at a first visit it may just be
+        # estimation error, so the bar is higher there.
+        limit = (detector.threshold
+                 if detector is not None and config_index in state.visited
+                 else NOVEL_CONFIG_TOLERANCE)
+        watching = state.adapt and detector is not None
+        if watching and deviation > limit:
+            # Let the detector accumulate evidence instead of silently
+            # absorbing the anomaly into one entry.
+            if detector.update(expected, measurement.rate, threshold=limit):
+                state.adopt(self._recalibrate(state.profile, state.estimate))
+                state.reestimations += 1
+                span.set_attribute("recalibrated", True)
+                get_observability().metrics.inc("reestimations_total")
+                logger.info(
+                    "phase change: re-calibrated inline",
+                    extra={"fields": {
+                        "quantum": state.quantum_index,
+                        "deviation": deviation,
+                        "reestimations": state.reestimations}})
+                # Re-calibration consumed wall-clock time, but the
+                # application kept making progress while sampled.
+                state.time_left -= state.estimate.sampling_time
+                state.work_left -= state.estimate.sampling_heartbeats
+            return True
+        if watching:
+            detector.update(expected, measurement.rate, threshold=limit)
+        state.visited.add(config_index)
+        if (abs(measurement.rate - rates[config_index])
+                > 0.02 * rates[config_index]
+                or abs(measurement.system_power - powers[config_index])
+                > 0.02 * powers[config_index]):
+            # Routine feedback: fold the measurement into this
+            # configuration's entry (gradient-ascent correction).
+            state.correct(config_index, measurement.rate,
+                          measurement.system_power)
+        return True
+
+    def _next_slot(self, state: RunState) -> Optional[Slot]:
         """Pick the next residency (configuration + time share).
 
         Solves the remaining-horizon LP and executes its *slower* slot
@@ -804,6 +885,8 @@ class RuntimeController:
         configuration, which is the "gradient ascent until the demand is
         met" behaviour the paper describes.
         """
+        minimizer = state.minimizer
+        work_left, time_left = state.work_left, state.time_left
         required = work_left / time_left
         if required > minimizer.max_rate:
             return Slot(int(np.argmax(minimizer.rates)), time_left)
@@ -811,7 +894,7 @@ class RuntimeController:
         # rates on the frontier's legs are optimistic on average (the
         # winner's curse of choosing argmax-looking configurations), and
         # the margin keeps mid-course shortfalls recoverable.
-        padded_work = min(work_left * (1.0 + self.safety_margin),
+        padded_work = min(work_left * (1.0 + SAFETY_MARGIN),
                           minimizer.max_rate * time_left)
         schedule = minimizer.solve(padded_work, time_left)
         # Execute the work-bearing legs before the idle leg: under
@@ -867,81 +950,24 @@ class RuntimeController:
     # ------------------------------------------------------------------
     # Checkpoint / recovery
     # ------------------------------------------------------------------
-    def _snapshot_run_state(self, profile: ApplicationProfile, work: float,
-                            deadline: float, adapt: bool, *,
-                            quantum_index: int, time_left: float,
-                            work_left: float, reestimations: int,
-                            rates: np.ndarray, powers: np.ndarray,
-                            estimate: TradeoffEstimate, visited: set,
-                            power_trace: List[float],
-                            rate_trace: List[float], energy_before: float,
-                            detector: Optional[PhaseDetector]) -> dict:
-        """A JSON-ready snapshot of the run loop at a quantum boundary.
+    def _checkpoint(self, state: RunState,
+                    detector: Optional[PhaseDetector]) -> dict:
+        """A JSON-ready snapshot of the run at a quantum boundary.
 
-        Captures the loop-carried state plus every random stream the
-        remaining quanta will consume, so :meth:`resume` replays them
-        bit-equal to the uninterrupted run.  Refuses to snapshot a
-        thermally-modelled machine: the thermal integrator state is not
-        serialized, and a silent mismatch would break the bit-equality
-        guarantee.
+        The run state plus every random stream the remaining quanta will
+        consume, so :meth:`resume` replays them bit-equal to the
+        uninterrupted run.  A thermally-modelled machine refuses
+        (:meth:`Machine.snapshot`).
         """
-        machine = self.machine
-        if machine.thermal is not None:
-            raise CheckpointError(
-                "checkpointing a thermally-modelled machine is not "
-                "supported (the thermal integrator state is not "
-                "serialized)")
-        config_index = None
-        if machine.config is not None:
-            for i, candidate in enumerate(self.space):
-                if candidate == machine.config:
-                    config_index = i
-                    break
-        detector_state = None
-        if detector is not None:
-            detector_state = {"threshold": detector.threshold,
-                              "patience": detector.patience,
-                              "streak": detector._streak,
-                              "detections": detector.detections}
-        return {
-            "schema_version": 1,
-            "profile": profile.name,
-            "work": float(work),
-            "deadline": float(deadline),
-            "adapt": bool(adapt),
-            "quantum_index": int(quantum_index),
-            "time_left": float(time_left),
-            "work_left": float(work_left),
-            "reestimations": int(reestimations),
-            "rates": [float(x) for x in rates],
-            "powers": [float(x) for x in powers],
-            "estimate": {
-                "rates": [float(x) for x in estimate.rates],
-                "powers": [float(x) for x in estimate.powers],
-                "estimator_name": estimate.estimator_name,
-                "sampling_time": estimate.sampling_time,
-                "sampling_energy": estimate.sampling_energy,
-                "sampling_heartbeats": estimate.sampling_heartbeats,
-                "fit_seconds": estimate.fit_seconds,
-            },
-            "visited": sorted(int(i) for i in visited),
-            "power_trace": [float(x) for x in power_trace],
-            "rate_trace": [float(x) for x in rate_trace],
-            "energy_start": float(energy_before),
-            "machine": {
-                "clock": machine.clock,
-                "total_energy": machine.total_energy,
-                "total_heartbeats": machine.total_heartbeats,
-                "config_index": config_index,
-                "rng_state": _rng_state(machine._rng),
-            },
-            "sampler_rng": _rng_state(getattr(self.sampler, "_rng", None)),
-            "estimator_rng": _rng_state(getattr(self.estimator, "_rng",
-                                                None)),
-            "detector": detector_state,
-            "ladder": (self._ladder.snapshot()
-                       if self._ladder is not None else None),
-        }
+        payload = state.to_payload()
+        payload["machine"] = self.machine.snapshot(self.space)
+        payload["sampler_rng"] = _rng_state(self.sampler)
+        payload["estimator_rng"] = _rng_state(self.estimator)
+        payload["detector"] = (detector.snapshot()
+                               if detector is not None else None)
+        payload["ladder"] = (self._ladder.snapshot()
+                             if self._ladder is not None else None)
+        return payload
 
     def resume(self, state: dict, profile: ApplicationProfile,
                detector: Optional[PhaseDetector] = None,
@@ -954,57 +980,24 @@ class RuntimeController:
         platform, space, estimator); the random streams and loop state
         are restored exactly, so on a fault-free plan the resumed run's
         :class:`RunReport` is bit-equal to the uninterrupted run's.
+        Raises :class:`CheckpointError` for a checkpoint of another
+        application or another configuration space.
         """
-        schema = state.get("schema_version", 1)
-        if schema != 1:
-            raise CheckpointError(
-                f"checkpoint schema_version {schema!r} is not supported")
-        if state.get("profile") != profile.name:
-            raise CheckpointError(
-                f"checkpoint was taken for application "
-                f"{state.get('profile')!r}, not {profile.name!r}")
-        machine = self.machine
-        machine.load(profile)
-        snap = state["machine"]
-        machine.clock = float(snap["clock"])
-        machine.total_energy = float(snap["total_energy"])
-        machine.total_heartbeats = float(snap["total_heartbeats"])
-        if snap.get("rng_state") is not None:
-            machine._rng.bit_generator.state = snap["rng_state"]
-        if snap.get("config_index") is not None:
-            machine.apply(self.space[int(snap["config_index"])])
-        sampler_rng = getattr(self.sampler, "_rng", None)
-        if sampler_rng is not None and state.get("sampler_rng") is not None:
-            sampler_rng.bit_generator.state = state["sampler_rng"]
-        estimator_rng = getattr(self.estimator, "_rng", None)
-        if (estimator_rng is not None
-                and state.get("estimator_rng") is not None):
-            estimator_rng.bit_generator.state = state["estimator_rng"]
-        if state.get("ladder") is not None:
-            self.ladder.restore(state["ladder"])
-        adapt = bool(state.get("adapt", False))
-        det_state = state.get("detector")
-        if det_state is not None:
-            if detector is None:
-                detector = PhaseDetector(threshold=det_state["threshold"],
-                                         patience=det_state["patience"])
-            detector._streak = int(det_state["streak"])
-            detector.detections = int(det_state["detections"])
-        est = state["estimate"]
-        estimate = TradeoffEstimate(
-            rates=np.asarray(est["rates"], dtype=float),
-            powers=np.asarray(est["powers"], dtype=float),
-            estimator_name=est["estimator_name"],
-            sampling_time=est["sampling_time"],
-            sampling_energy=est["sampling_energy"],
-            sampling_heartbeats=est["sampling_heartbeats"],
-            fit_seconds=est["fit_seconds"])
         with self._obs_scope():
-            return self._run_traced(profile, float(state["work"]),
-                                    float(state["deadline"]), estimate,
-                                    adapt, detector,
-                                    checkpointer=checkpointer,
-                                    resume_state=state)
+            run = RunState.from_payload(state, profile, len(self.space),
+                                        self.machine.idle_power())
+            self.machine.load(profile)
+            self.machine.restore(state["machine"], self.space)
+            _restore_rng(self.sampler, state.get("sampler_rng"))
+            _restore_rng(self.estimator, state.get("estimator_rng"))
+            if state.get("ladder") is not None:
+                self.ladder.restore(state["ladder"])
+            snapshot = state.get("detector")
+            if snapshot is not None:
+                detector = detector or PhaseDetector(snapshot["threshold"],
+                                                     snapshot["patience"])
+                detector.restore(snapshot)
+            return self._drive(run, detector, checkpointer)
 
     # ------------------------------------------------------------------
     # Phased workloads (Section 6.6)

@@ -22,14 +22,12 @@ absorbs.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.optimize.pareto import TradeoffFrontier
 from repro.platform.config_space import ConfigurationSpace
 from repro.platform.machine import Machine
-from repro.runtime.controller import RunReport, TradeoffEstimate
+from repro.runtime.controller import RunReport, RunWindow, TradeoffEstimate
 from repro.workloads.profile import ApplicationProfile
 
 
@@ -42,75 +40,47 @@ class HullRateController:
         gain: Integral gain on the normalized rate error.  1.0 is the
             deadbeat setting (one-window correction under a perfect
             model); lower is smoother, higher overshoots.
-        quantum_fraction: Control quantum as a fraction of the deadline.
     """
 
     def __init__(self, machine: Machine, space: ConfigurationSpace,
-                 gain: float = 0.6,
-                 quantum_fraction: float = 0.05) -> None:
+                 gain: float = 0.6) -> None:
         if not 0 < gain <= 2.0:
             raise ValueError(f"gain must be in (0, 2], got {gain}")
-        if not 0 < quantum_fraction <= 1:
-            raise ValueError(
-                f"quantum_fraction must be in (0, 1], got {quantum_fraction}"
-            )
         self.machine = machine
         self.space = space
         self.gain = gain
-        self.quantum_fraction = quantum_fraction
 
     def run(self, profile: ApplicationProfile, work: float, deadline: float,
             estimate: TradeoffEstimate) -> RunReport:
         """Hold ``work / deadline`` heartbeats/s along the hull."""
-        if work < 0:
-            raise ValueError(f"work must be >= 0, got {work}")
-        if deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
-        self.machine.load(profile)
+        machine = self.machine
+        window = RunWindow.open(machine, work, deadline)
+        machine.load(profile)
         frontier = TradeoffFrontier(estimate.rates, estimate.powers,
-                                    idle_power=self.machine.idle_power())
+                                    idle_power=machine.idle_power())
         target = work / deadline
         signal = min(target, frontier.max_rate)
 
-        energy_before = self.machine.total_energy
-        quantum = deadline * self.quantum_fraction
-        time_left = deadline
-        work_left = work
-        power_trace: List[float] = []
-        rate_trace: List[float] = []
-
-        while time_left > 1e-9 * deadline:
-            step = min(quantum, time_left)
-            if work_left <= 1e-9 * max(work, 1.0):
-                self.machine.idle_for(step)
-                power_trace.append(self.machine.idle_power())
-                rate_trace.append(0.0)
-                time_left -= step
+        while window.running:
+            step = min(window.quantum, window.time_left)
+            if window.finished:
+                window.idle(machine, step)
                 continue
 
             delivered, mean_power = self._actuate_hull(frontier, signal,
                                                        step)
-            work_left -= delivered * step
-            time_left -= step
-            power_trace.append(mean_power)
-            rate_trace.append(delivered)
+            window.advance(step, delivered * step, mean_power, delivered)
 
             # Integral update on the normalized error.  The reference
             # also absorbs accumulated debt: if past windows fell short,
             # the remaining-work rate exceeds the original target.
-            reference = max(target, work_left / max(time_left, 1e-9))
+            reference = max(target,
+                            window.work_left / max(window.time_left, 1e-9))
             reference = min(reference, frontier.max_rate)
             error = (reference - delivered) / max(reference, 1e-9)
             signal = signal + self.gain * error * reference
             signal = float(np.clip(signal, 0.0, frontier.max_rate))
-
-        work_done = work - max(work_left, 0.0)
-        return RunReport(
-            energy=self.machine.total_energy - energy_before,
-            work_done=work_done, work_target=work, deadline=deadline,
-            met_target=work_done >= 0.99 * work, reestimations=0,
-            power_trace=power_trace, rate_trace=rate_trace,
-        )
+        return window.report(machine)
 
     def _actuate_hull(self, frontier: TradeoffFrontier, signal: float,
                       step: float):

@@ -20,8 +20,16 @@ from typing import Dict, List
 
 from repro.platform.config_space import Configuration, ConfigurationSpace
 from repro.platform.machine import Machine
-from repro.runtime.controller import RunReport
+from repro.runtime.controller import RunReport, RunWindow
 from repro.workloads.profile import ApplicationProfile
+
+#: Fraction of the demand above which the governor jumps straight to the
+#: highest speed (ondemand's aggressive up-step, triggered by high
+#: utilization).
+UP_THRESHOLD = 0.95
+#: Speed-ladder steps dropped per quantum when the demand is comfortably
+#: met (the slow down-ramp).
+DOWN_STEP = 1
 
 
 class OndemandGovernor:
@@ -30,32 +38,11 @@ class OndemandGovernor:
     Args:
         machine: Platform to drive.
         space: Its configuration space.
-        up_threshold: Fraction of the demand above which the governor
-            jumps straight to the highest speed (ondemand's aggressive
-            up-step, triggered by high utilization).
-        down_step: Speed-ladder steps dropped per quantum when the
-            demand is comfortably met (the slow down-ramp).
-        quantum_fraction: Control quantum as a fraction of the deadline.
     """
 
-    def __init__(self, machine: Machine, space: ConfigurationSpace,
-                 up_threshold: float = 0.95, down_step: int = 1,
-                 quantum_fraction: float = 0.05) -> None:
-        if not 0 < up_threshold <= 1:
-            raise ValueError(
-                f"up_threshold must be in (0, 1], got {up_threshold}"
-            )
-        if down_step < 1:
-            raise ValueError(f"down_step must be >= 1, got {down_step}")
-        if not 0 < quantum_fraction <= 1:
-            raise ValueError(
-                f"quantum_fraction must be in (0, 1], got {quantum_fraction}"
-            )
+    def __init__(self, machine: Machine, space: ConfigurationSpace) -> None:
         self.machine = machine
         self.space = space
-        self.up_threshold = up_threshold
-        self.down_step = down_step
-        self.quantum_fraction = quantum_fraction
         self._speed_ladder = self._build_speed_ladder(space)
 
     @staticmethod
@@ -76,51 +63,31 @@ class OndemandGovernor:
     def run(self, profile: ApplicationProfile, work: float,
             deadline: float) -> RunReport:
         """Execute ``work`` heartbeats under the ondemand policy."""
-        if work < 0:
-            raise ValueError(f"work must be >= 0, got {work}")
-        if deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
-        self.machine.load(profile)
-        energy_before = self.machine.total_energy
+        machine = self.machine
+        window = RunWindow.open(machine, work, deadline)
+        machine.load(profile)
         ladder = self._speed_ladder
         level = len(ladder) - 1  # ondemand starts high on a busy wakeup
-        quantum = deadline * self.quantum_fraction
-        time_left = deadline
-        work_left = work
         last_rate = 0.0
-        power_trace: List[float] = []
-        rate_trace: List[float] = []
 
-        while time_left > 1e-9 * deadline:
-            if work_left <= 1e-9 * max(work, 1.0):
-                self.machine.idle_for(time_left)
-                power_trace.append(self.machine.idle_power())
-                rate_trace.append(0.0)
-                time_left = 0.0
+        while window.running:
+            if window.finished:
+                window.idle(machine, window.time_left)
                 break
-            step = min(quantum, time_left)
+            step = min(window.quantum, window.time_left)
             if last_rate > 0:
-                step = min(step, max(work_left / last_rate, 1e-6))
-            self.machine.apply(ladder[level])
-            measurement = self.machine.run_for(step)
+                step = min(step, max(window.work_left / last_rate, 1e-6))
+            machine.apply(ladder[level])
+            measurement = machine.run_for(step)
             last_rate = measurement.rate
-            work_left -= measurement.heartbeats
-            time_left -= step
-            power_trace.append(measurement.system_power)
-            rate_trace.append(measurement.rate)
+            window.advance(step, measurement.heartbeats,
+                           measurement.system_power, measurement.rate)
 
             # Policy update from observed demand pressure.
-            required = (work_left / time_left if time_left > 1e-9
-                        else float("inf"))
-            if measurement.rate < required / self.up_threshold:
+            required = (window.work_left / window.time_left
+                        if window.time_left > 1e-9 else float("inf"))
+            if measurement.rate < required / UP_THRESHOLD:
                 level = len(ladder) - 1
             elif measurement.rate > 1.3 * required:
-                level = max(level - self.down_step, 0)
-
-        work_done = work - max(work_left, 0.0)
-        return RunReport(
-            energy=self.machine.total_energy - energy_before,
-            work_done=work_done, work_target=work, deadline=deadline,
-            met_target=work_done >= 0.99 * work, reestimations=0,
-            power_trace=power_trace, rate_trace=rate_trace,
-        )
+                level = max(level - DOWN_STEP, 0)
+        return window.report(machine)

@@ -68,3 +68,13 @@ class PhaseDetector:
     def reset(self) -> None:
         """Clear the anomaly streak (e.g. after re-estimation)."""
         self._streak = 0
+
+    def snapshot(self) -> dict:
+        """Settings and progress, as plain JSON."""
+        return {"threshold": self.threshold, "patience": self.patience,
+                "streak": self._streak, "detections": self.detections}
+
+    def restore(self, snapshot: dict) -> None:
+        """Resume a :meth:`snapshot`'s streak and detection count."""
+        self._streak = int(snapshot["streak"])
+        self.detections = int(snapshot["detections"])

@@ -13,13 +13,11 @@ work completes, then idles out the window.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.platform.config_space import Configuration, ConfigurationSpace
 from repro.platform.machine import Machine
-from repro.runtime.controller import RunReport
+from repro.runtime.controller import RunReport, RunWindow
 from repro.workloads.profile import ApplicationProfile
 
 
@@ -38,59 +36,32 @@ def all_resources_config(space: ConfigurationSpace) -> Configuration:
 class RaceToIdleController:
     """Run flat out, then idle (no estimation, no optimization)."""
 
-    def __init__(self, machine: Machine, space: ConfigurationSpace,
-                 quantum_fraction: float = 0.05) -> None:
-        if not 0 < quantum_fraction <= 1:
-            raise ValueError(
-                f"quantum_fraction must be in (0, 1], got {quantum_fraction}"
-            )
+    def __init__(self, machine: Machine, space: ConfigurationSpace) -> None:
         self.machine = machine
         self.space = space
-        self.quantum_fraction = quantum_fraction
 
     def run(self, profile: ApplicationProfile, work: float,
             deadline: float) -> RunReport:
         """Race through ``work`` heartbeats, then idle until ``deadline``."""
-        if work < 0:
-            raise ValueError(f"work must be >= 0, got {work}")
-        if deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
-        self.machine.load(profile)
-        config = all_resources_config(self.space)
-        self.machine.apply(config)
-
-        energy_before = self.machine.total_energy
-        quantum = deadline * self.quantum_fraction
-        time_left = deadline
-        work_left = work
-        power_trace: List[float] = []
-        rate_trace: List[float] = []
+        machine = self.machine
+        window = RunWindow.open(machine, work, deadline)
+        machine.load(profile)
+        machine.apply(all_resources_config(self.space))
 
         last_rate = 0.0
-        while time_left > 1e-9 * deadline and work_left > 1e-9 * max(work, 1.0):
-            step = min(quantum, time_left)
+        while window.running and not window.finished:
+            step = min(window.quantum, window.time_left)
             if last_rate > 0:
                 # Trim the final quantum to the time the remaining work
                 # actually needs (estimated from the measured rate).
-                step = min(step, max(work_left / last_rate, 1e-6))
-            measurement = self.machine.run_for(step)
+                step = min(step, max(window.work_left / last_rate, 1e-6))
+            measurement = machine.run_for(step)
             last_rate = measurement.rate
-            work_left -= measurement.heartbeats
-            time_left -= step
-            power_trace.append(measurement.system_power)
-            rate_trace.append(measurement.rate)
-        if time_left > 0:
-            self.machine.idle_for(time_left)
-            power_trace.append(self.machine.idle_power())
-            rate_trace.append(0.0)
-
-        work_done = work - max(work_left, 0.0)
-        return RunReport(
-            energy=self.machine.total_energy - energy_before,
-            work_done=work_done, work_target=work, deadline=deadline,
-            met_target=work_done >= 0.99 * work, reestimations=0,
-            power_trace=power_trace, rate_trace=rate_trace,
-        )
+            window.advance(step, measurement.heartbeats,
+                           measurement.system_power, measurement.rate)
+        if window.time_left > 0:
+            window.idle(machine, window.time_left)
+        return window.report(machine)
 
 
 def race_to_idle_energy(rates: np.ndarray, powers: np.ndarray,

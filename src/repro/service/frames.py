@@ -270,8 +270,9 @@ def encode_binary_frame(obj: Dict[str, Any]) -> bytes:
     """One protocol-v2 frame for a request/response wire dict.
 
     The dict's optional ``trace`` entry travels in the frame header
-    (FLAGS bit 0); everything else is the body.  The input dict is not
-    mutated.
+    (FLAGS bit 0) when it is a trace-context dict; everything else is
+    the body, a ``trace`` of any other type included (the decoder
+    accepts only a dict header).  The input dict is not mutated.
     """
     if not isinstance(obj, dict):
         raise FrameError(
@@ -279,7 +280,7 @@ def encode_binary_frame(obj: Dict[str, Any]) -> bytes:
     trace = obj.get("trace")
     parts: List[bytes] = []
     flags = 0
-    if trace is not None:
+    if isinstance(trace, dict):
         flags |= _FLAG_TRACE
         encode_value(trace, parts)
         body = {key: value for key, value in obj.items() if key != "trace"}

@@ -5,7 +5,7 @@ Usage (from the repository root)::
     PYTHONPATH=src python tests/golden/generate_golden.py [NAME ...]
 
 With fixture names (``em_subspace_niw``, ``leo_estimate``, ``hull_lp``,
-...) only those are rewritten; without, every fixture is.
+``run_loops``, ...) only those are rewritten; without, every fixture is.
 
 The fixtures pin down the numerical behaviour of the EM engine, the
 Pareto/hull geometry and the Eq. (1) LP *before* any hot-path
@@ -16,24 +16,48 @@ cached rewrite of the same math is provably behaviour-preserving;
 ``em_subspace_niw`` (n = 256, fit subspace r = 72) was captured with the
 n-dimensional Woodbury E-step, before the subspace E-step replaced it.
 
+``run_loops.json`` pins the five runtime loops — the LEO controller
+(with and without phase adaptation), race-to-idle, the ondemand
+governor (also on the paper space, whose speed ladder its policy
+walks), the hull rate controller and the cluster coordinator under each
+policy — plus two mid-run controller checkpoint payloads (one holding
+phase-detector progress, one a set of visited configurations) and the
+reports of those runs.  Every loop is driven by ``offline`` estimates,
+so no EM enters it; ``tests/test_run_loops_golden.py`` checks it.
+
 Only regenerate them when the *intended* numerics change (a new model,
 a different convergence rule), never to make an optimisation pass.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import pathlib
 import sys
 
 import numpy as np
 
+from repro.cluster import ClusterCoordinator, Tenant
+from repro.cluster.partition import PartitionedMachine
 from repro.core.em import EMConfig, EMEngine
 from repro.core.observation import ObservationSet
 from repro.core.priors import NIWPrior
 from repro.estimators.leo import LEOEstimator
 from repro.estimators.base import EstimationProblem
+from repro.estimators.offline import OfflineEstimator
 from repro.optimize.lp import EnergyMinimizer
 from repro.optimize.pareto import TradeoffFrontier, pareto_optimal_mask
+from repro.platform.config_space import ConfigurationSpace
+from repro.platform.machine import Machine
+from repro.platform.topology import PAPER_TOPOLOGY
+from repro.runtime.controller import RuntimeController
+from repro.runtime.feedback import HullRateController
+from repro.runtime.governor import OndemandGovernor
+from repro.runtime.race_to_idle import RaceToIdleController
+from repro.runtime.sampling import RandomSampler
+from repro.workloads.suite import get_benchmark, paper_suite
+from repro.workloads.traces import OfflineDataset
 
 HERE = pathlib.Path(__file__).parent
 
@@ -178,9 +202,163 @@ def generate_hull_lp() -> None:
                         energies=np.asarray(energies), slots=slots)
 
 
+#: The run-loop fixture's applications, window and demand.
+RUN_LOOP_APPS = ("kmeans", "swish", "x264")
+RUN_LOOP_DEADLINE = 20.0
+RUN_LOOP_UTILIZATION = 0.5
+#: The cluster case: three tenants sharing the node under this cap.
+RUN_LOOP_CLUSTER_CAP = 260.0
+RUN_LOOP_CLUSTER_UTILIZATIONS = (0.3, 0.4, 0.3)
+#: The checkpoint cases' quantum boundary, and the applications whose
+#: adaptive runs carry detector progress (kmeans) and visited
+#: configurations (x264) there.
+RUN_LOOP_CHECKPOINT_AT = 7
+RUN_LOOP_CHECKPOINT_APPS = ("kmeans", "x264")
+
+
+class CaptureAt:
+    """A checkpointer that keeps the payload of one quantum boundary,
+    round-tripped through JSON like the on-disk format."""
+
+    def __init__(self, at_quantum: int) -> None:
+        self.at = at_quantum
+        self.payload = None
+
+    def maybe_save(self, quantum_index: int, payload_fn) -> bool:
+        if quantum_index == self.at and self.payload is None:
+            self.payload = json.loads(json.dumps(payload_fn()))
+            return True
+        return False
+
+
+def run_loop_space() -> ConfigurationSpace:
+    return ConfigurationSpace.cores_only()
+
+
+def run_loop_dataset(space: ConfigurationSpace) -> OfflineDataset:
+    """Noisy offline tables for the whole suite (the prior data)."""
+    return OfflineDataset.collect(Machine(PAPER_TOPOLOGY, seed=99),
+                                  paper_suite(), space, noisy=True)
+
+
+def run_loop_controller(space: ConfigurationSpace, dataset: OfflineDataset,
+                        app: str, seed: int) -> RuntimeController:
+    """An ``offline``-estimating controller on a fresh seeded machine."""
+    view = dataset.leave_one_out(app)
+    return RuntimeController(
+        machine=Machine(PAPER_TOPOLOGY, seed=seed), space=space,
+        estimator=OfflineEstimator(), prior_rates=view.prior_rates,
+        prior_powers=view.prior_powers, sampler=RandomSampler(seed=seed),
+        sample_count=6)
+
+
+def run_loop_work(space: ConfigurationSpace, app: str) -> float:
+    machine = Machine(PAPER_TOPOLOGY)
+    profile = get_benchmark(app)
+    max_rate = max(machine.true_rate(profile, c) for c in space)
+    return RUN_LOOP_UTILIZATION * max_rate * RUN_LOOP_DEADLINE
+
+
+def _cluster_outcome(space: ConfigurationSpace, dataset: OfflineDataset,
+                     policy: str) -> dict:
+    names = RUN_LOOP_APPS
+    share = space.topology.total_cores // len(names)
+    node = PartitionedMachine(space, [(name, share) for name in names])
+    for name in names:
+        node.set_profile(name, get_benchmark(name))
+    coordinator = ClusterCoordinator(space, cap_watts=RUN_LOOP_CLUSTER_CAP,
+                                     policy=policy, seed=5)
+    for name, utilization in zip(names, RUN_LOOP_CLUSTER_UTILIZATIONS):
+        profile = get_benchmark(name)
+        max_rate = max(node.view(name).true_rate(profile, c)
+                       for c in node.space_for(name).space)
+        view = dataset.leave_one_out(name)
+        coordinator.admit(Tenant(
+            name=name, workload=profile,
+            work=utilization * max_rate * RUN_LOOP_DEADLINE,
+            deadline=RUN_LOOP_DEADLINE, estimator="offline",
+            prior_rates=view.prior_rates, prior_powers=view.prior_powers))
+    report = coordinator.run()
+    return {
+        "node_energy": report.node_energy,
+        "epoch_peak_watts": list(report.epoch_peak_watts),
+        "epochs": report.epochs,
+        "reallocations": report.reallocations,
+        "tenants": {name: {"work_done": tenant.work_done,
+                           "energy": tenant.energy,
+                           "met_deadline": tenant.met_deadline,
+                           "reestimations": tenant.reestimations,
+                           "calibrations": tenant.calibrations,
+                           "epochs": tenant.epochs}
+                    for name, tenant in report.tenants.items()},
+    }
+
+
+def run_loops_outcome() -> dict:
+    """Every runtime loop's outcome on the fixture's fixed inputs."""
+    space = run_loop_space()
+    paper_space = ConfigurationSpace.paper_space()
+    dataset = run_loop_dataset(space)
+    reports = {}
+    for i, app in enumerate(RUN_LOOP_APPS):
+        profile = get_benchmark(app)
+        work = run_loop_work(space, app)
+        seed = 100 + i
+        for adapt in (False, True):
+            controller = run_loop_controller(space, dataset, app, seed)
+            estimate = controller.calibrate(profile)
+            report = controller.run(profile, work, RUN_LOOP_DEADLINE,
+                                    estimate, adapt=adapt)
+            key = "controller_adapt" if adapt else "controller"
+            reports[f"{key}/{app}"] = dataclasses.asdict(report)
+        baselines = (
+            ("race_to_idle", lambda m: RaceToIdleController(m, space).run(
+                profile, work, RUN_LOOP_DEADLINE)),
+            ("governor", lambda m: OndemandGovernor(m, space).run(
+                profile, work, RUN_LOOP_DEADLINE)),
+            ("hull", lambda m: HullRateController(m, space).run(
+                profile, work, RUN_LOOP_DEADLINE, estimate)),
+        )
+        for name, run in baselines:
+            report = run(Machine(PAPER_TOPOLOGY, seed=seed))
+            reports[f"{name}/{app}"] = dataclasses.asdict(report)
+        report = OndemandGovernor(
+            Machine(PAPER_TOPOLOGY, seed=seed), paper_space).run(
+                profile, run_loop_work(paper_space, app), RUN_LOOP_DEADLINE)
+        reports[f"governor_paper/{app}"] = dataclasses.asdict(report)
+
+    checkpoints = {}
+    for app in RUN_LOOP_CHECKPOINT_APPS:
+        profile = get_benchmark(app)
+        controller = run_loop_controller(space, dataset, app, seed=200)
+        estimate = controller.calibrate(profile)
+        capture = CaptureAt(RUN_LOOP_CHECKPOINT_AT)
+        report = controller.run(profile, run_loop_work(space, app),
+                                RUN_LOOP_DEADLINE, estimate, adapt=True,
+                                checkpointer=capture)
+        checkpoints[app] = {"seed": 200, "payload": capture.payload,
+                            "report": dataclasses.asdict(report)}
+    return {
+        "reports": reports,
+        "cluster": {policy: _cluster_outcome(space, dataset, policy)
+                    for policy in ("joint", "static", "race")},
+        "checkpoints": checkpoints,
+    }
+
+
+def generate_run_loops() -> None:
+    with open(HERE / "run_loops.json", "w") as handle:
+        # ``default`` turns numpy scalars (a report's flag can be a
+        # numpy bool) into their plain Python values.
+        json.dump(run_loops_outcome(), handle, indent=1, sort_keys=True,
+                  default=lambda value: value.item())
+        handle.write("\n")
+
+
 def main(names=None) -> None:
     wanted = set(names) if names else None
-    unknown = (wanted or set()) - set(EM_CASES) - {"leo_estimate", "hull_lp"}
+    unknown = ((wanted or set()) - set(EM_CASES)
+               - {"leo_estimate", "hull_lp", "run_loops"})
     if unknown:
         raise SystemExit(f"unknown fixtures: {sorted(unknown)}")
     generate_em(wanted)
@@ -188,6 +366,8 @@ def main(names=None) -> None:
         generate_leo()
     if wanted is None or "hull_lp" in wanted:
         generate_hull_lp()
+    if wanted is None or "run_loops" in wanted:
+        generate_run_loops()
     print(f"fixtures written to {HERE}")
 
 

@@ -60,9 +60,6 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             RuntimeController(machine, cores_space, LEOEstimator(),
                               sample_window=0.0)
-        with pytest.raises(ValueError):
-            RuntimeController(machine, cores_space, LEOEstimator(),
-                              quantum_fraction=0.0)
 
 
 class TestRun:

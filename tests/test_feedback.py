@@ -22,9 +22,6 @@ class TestValidation:
             HullRateController(Machine(), cores_space, gain=0.0)
         with pytest.raises(ValueError):
             HullRateController(Machine(), cores_space, gain=2.5)
-        with pytest.raises(ValueError):
-            HullRateController(Machine(), cores_space,
-                               quantum_fraction=0.0)
 
     def test_run_inputs(self, cores_space):
         machine = Machine(seed=71)

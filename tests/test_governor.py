@@ -24,14 +24,6 @@ class TestLadder:
         governor = OndemandGovernor(Machine(), cores_space)
         assert len(governor._speed_ladder) == 1
 
-    def test_validation(self, paper_space):
-        with pytest.raises(ValueError):
-            OndemandGovernor(Machine(), paper_space, up_threshold=0.0)
-        with pytest.raises(ValueError):
-            OndemandGovernor(Machine(), paper_space, down_step=0)
-        with pytest.raises(ValueError):
-            OndemandGovernor(Machine(), paper_space, quantum_fraction=0.0)
-
 
 class TestPolicy:
     def test_meets_feasible_demand(self, paper_space):

@@ -11,8 +11,6 @@ from repro.obs import (
     MetricsRegistry,
     start_timer,
     stop_timer,
-    timed,
-    timer,
     use,
     Observability,
 )
@@ -135,24 +133,6 @@ class TestRegistry:
 
 
 class TestProfilingHooks:
-    def test_timer_records_into_ambient_registry(self):
-        ob = Observability.recording()
-        with use(ob):
-            with timer("op_seconds"):
-                pass
-        assert ob.metrics.snapshot()["histograms"]["op_seconds"]["count"] == 1
-
-    def test_timed_decorator(self):
-        ob = Observability.recording()
-
-        @timed("fn_seconds")
-        def fn():
-            return 42
-
-        with use(ob):
-            assert fn() == 42
-        assert ob.metrics.snapshot()["histograms"]["fn_seconds"]["count"] == 1
-
     def test_start_stop_pair(self):
         ob = Observability.recording()
         with use(ob):

@@ -57,8 +57,6 @@ class TestController:
             controller.run(kmeans, work=-1.0, deadline=10.0)
         with pytest.raises(ValueError):
             controller.run(kmeans, work=1.0, deadline=0.0)
-        with pytest.raises(ValueError):
-            RaceToIdleController(machine, cores_space, quantum_fraction=0.0)
 
 
 class TestClosedForm:
