@@ -13,6 +13,11 @@ worker, admission bound 2), then drives it the way a deployment would:
 * a cold ``calibrate-report`` publishes version 1 to the registry and a
   second, warm request returns the identical curves with zero samples —
   the cross-tenant amortization guarantee;
+* a paper-space ``estimate`` (1024x4 features, a leave-one-out 24x1024
+  prior, 20 samples, ``estimator="offline"``) sent over the JSON-lines
+  wire and over the binary wire must both come back bit-equal to the
+  in-process estimate — the request line is far longer than asyncio's
+  default 64 KiB line limit, and float arrays must survive either wire;
 * the broker's metrics must account for every one of those requests;
 * the ``shutdown`` op must stop the server process cleanly (exit 0).
 
@@ -29,10 +34,15 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
+
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 sys.path.insert(0, str(SRC))
 
+from repro.estimators.base import EstimationProblem  # noqa: E402
+from repro.estimators.registry import create_estimator  # noqa: E402
+from repro.experiments import harness  # noqa: E402
 from repro.service import (  # noqa: E402  (path bootstrap above)
     ServiceAddress,
     ServiceClient,
@@ -119,6 +129,28 @@ def check_warm_start(address) -> None:
     print("warm start: version 1 published, second tenant used 0 samples")
 
 
+def check_paper_estimate(address) -> None:
+    """A paper-scale estimate over both wires equals the local one."""
+    ctx = harness.default_context("paper", 0)
+    app = ctx.benchmark_names[0]
+    view = ctx.dataset.leave_one_out(app)
+    indices = harness.random_indices(len(ctx.space), 20, seed=1)
+    _, powers = harness.sample_target(ctx, ctx.profile(app), indices)
+    problem = EstimationProblem(features=ctx.features,
+                                prior=view.prior_powers,
+                                observed_indices=indices,
+                                observed_values=powers)
+    local = create_estimator("offline").estimate(problem).tobytes()
+    for wire in ("json", "binary"):
+        with ServiceClient(address, timeout=60.0, wire=wire) as client:
+            remote = client.estimate(problem, estimator="offline",
+                                     deadline_s=30.0)
+        assert np.asarray(remote, dtype=np.float64).tobytes() == local, (
+            f"{wire} estimate differs from the in-process one")
+    print(f"paper estimate: {problem.features.shape} features, "
+          f"{problem.prior.shape} prior, bit-equal over json and binary")
+
+
 def check_metrics(address) -> None:
     with ServiceClient(address) as client:
         counters = client.metrics()["metrics"]["counters"]
@@ -136,6 +168,7 @@ def main() -> int:
                 assert client.ping()["pong"] is True
             check_admission(address)
             check_warm_start(address)
+            check_paper_estimate(address)
             check_metrics(address)
             with ServiceClient(address, timeout=10.0) as client:
                 assert client.shutdown() == {"stopping": True}

@@ -8,7 +8,13 @@ binary protocol v2 per server — the client probes with one binary ping
 and falls back to JSON-lines when the server answers in JSON — so a
 binary-preferring client against an old broker degrades transparently.
 Both encodings round-trip float64 bit-exactly, so the choice is a
-transport detail, never a numerics one.
+transport detail, never a numerics one.  Requests carry their float
+data as float64 arrays (:func:`~repro.service.protocol.encode_array`):
+one raw block each on the binary wire, nested lists on JSON lines.
+What a raw :meth:`ServiceClient.call` returns follows the wire: array
+fields of a reply (``rates``, ``powers``, ``estimate``) are float64
+arrays on v2 and lists on v1; :meth:`ServiceClient.estimate` returns an
+array either way.
 
 :class:`RemoteEstimator` implements the
 :class:`~repro.estimators.base.Estimator` protocol over a client, so a
@@ -19,7 +25,7 @@ a service **without changing a line of controller code**::
     controller = RuntimeController(machine, space,
                                    estimator=RemoteEstimator(client))
 
-Because curves survive the JSON round trip bit-exactly (see
+Because curves survive either wire bit-exactly (see
 :mod:`repro.service.protocol`) and the estimators are deterministic
 given the problem, a remote-backed controller run reproduces the
 in-process run to the last bit — ``tests/test_service_e2e.py`` asserts

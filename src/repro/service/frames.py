@@ -54,6 +54,14 @@ tag    value
 ``a``  float64 ndarray: u8 ndim + u32 per-dim sizes + raw ``>f8`` data
 =====  =============================================================
 
+Float arrays are the bulk of the traffic: the service's payloads keep
+curves, features and priors as float64 arrays
+(:func:`repro.service.protocol.encode_array`), so each crosses as one
+``a`` block instead of one ``f`` tag per element, and decodes to a
+writeable, C-contiguous, native float64 array.  Only floating dtypes
+no wider than float64 are accepted; other arrays raise rather than
+convert lossily.
+
 Every decode failure — short read, bad magic, future version, length
 overflow, checksum mismatch, unknown tag, trailing bytes — raises the
 typed :class:`~repro.errors.FrameError` (wire code ``frame-error``), a
@@ -123,9 +131,11 @@ def encode_value(value: Any, out: List[bytes]) -> None:
     """Append the tagged encoding of ``value`` to ``out``.
 
     Accepts the JSON-object universe (None/bool/int/float/str/list/
-    dict) plus ``bytes`` and float64 ``numpy.ndarray``; numpy scalars
-    degrade to their Python equivalents.  Anything else raises
-    :class:`FrameError` — the wire format never guesses.
+    dict) plus ``bytes`` and ``numpy.ndarray`` of a floating dtype no
+    wider than float64 (sent as float64, which widens it exactly);
+    numpy scalars degrade to their Python equivalents.  Anything else —
+    an int, bool, complex or object array included — raises
+    :class:`FrameError`: the wire format never guesses.
     """
     if value is None:
         out.append(b"Z")
@@ -155,7 +165,12 @@ def encode_value(value: Any, out: List[bytes]) -> None:
         out.append(_U32.pack(len(value)))
         out.append(bytes(value))
     elif isinstance(value, np.ndarray):
-        array = np.ascontiguousarray(value, dtype=">f8")
+        # float16/32/64 widen to float64 exactly; ints above 2**53,
+        # complex, bool and object arrays would not survive the block.
+        if value.dtype.kind != "f" or value.dtype.itemsize > 8:
+            raise FrameError(f"array dtype {value.dtype} is not encodable "
+                             f"on the wire (float64 or narrower only)")
+        array = np.asarray(value, dtype=">f8")
         if array.ndim > 255:
             raise FrameError(f"array rank {array.ndim} exceeds 255")
         out.append(b"a")

@@ -14,6 +14,13 @@ round-trip representation) and parses them back to the identical IEEE-754
 double.  That property is what lets a :class:`~repro.service.client.
 RemoteEstimator`-backed controller reproduce an in-process run exactly.
 
+Float arrays stay float64 ``ndarray`` objects in a payload
+(:func:`encode_array`).  The binary wire (protocol v2,
+:mod:`repro.service.frames`) carries each as one raw block; this
+module's JSON lines print it as nested lists, byte for byte what a list
+payload prints.  The coalescing key (:func:`fingerprint`) hashes an
+array's shape and bytes instead of printing its floats.
+
 Error types are part of the protocol: each :class:`ServiceError`
 subclass owns a wire-level ``code``, the server serializes the code and
 message, and the client rehydrates the matching exception class — so
@@ -26,7 +33,8 @@ import dataclasses
 import hashlib
 import json
 import socket
-from typing import Any, Dict, Optional
+import struct
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -308,18 +316,27 @@ class ServiceAddress:
 # ----------------------------------------------------------------------
 # Payload codecs
 # ----------------------------------------------------------------------
-def encode_array(array: np.ndarray) -> list:
-    """A float array as (nested) JSON lists; exact for IEEE doubles."""
-    return np.asarray(array, dtype=float).tolist()
+def encode_array(array: Any) -> np.ndarray:
+    """A float array for a payload: a float64 copy of ``array``.
+
+    The copy keeps a payload from aliasing the caller's arrays.  Binary
+    frames carry it as one raw block; :func:`encode_frame` prints it as
+    the nested lists ``tolist`` gives, exact for IEEE doubles.
+    """
+    return np.array(array, dtype=np.float64)
 
 
 def decode_array(value: Any) -> np.ndarray:
-    """Rebuild a float array from :func:`encode_array` output."""
+    """Rebuild a float array from an array or from nested lists."""
     return np.asarray(value, dtype=float)
 
 
 def problem_to_payload(problem: EstimationProblem) -> Dict[str, Any]:
-    """Serialize an :class:`EstimationProblem` for the ``estimate`` op."""
+    """Serialize an :class:`EstimationProblem` for the ``estimate`` op.
+
+    Features, prior and observed values travel as float64 arrays; the
+    observed indices as a list of ints.
+    """
     return {
         "features": encode_array(problem.features),
         "prior": (None if problem.prior is None
@@ -345,13 +362,50 @@ def problem_from_payload(payload: Dict[str, Any]) -> EstimationProblem:
         raise RequestRejected(f"problem payload lacks {exc}") from exc
 
 
+#: What an array prints as in :func:`fingerprint`'s canonical text.
+_ARRAY_MARK = "\x00ndarray"
+_ARRAY_MARK_JSON = json.dumps(_ARRAY_MARK)
+
+
 def fingerprint(op: str, payload: Dict[str, Any]) -> str:
     """Content digest used as the request-coalescing key.
 
-    Canonical JSON (sorted keys) over the operation and payload; two
+    SHA-256 over canonical JSON (sorted keys) of the operation and
+    payload, in which each array prints as a stand-in mark.  The text
+    is length-prefixed, and each array's shape and little-endian
+    float64 bytes follow it in the order the sorted walk met them, so a
+    payload without arrays cannot produce an array payload's key.  When
+    the payload also spells the mark itself, the arrays print as lists
+    instead, behind a NUL that canonical JSON never starts with.  Two
     requests with the same fingerprint are guaranteed to produce the
     same result, so the broker runs one fit and fans the answer out.
+
+    Keys depend on the encoding: an array and an equal list hash
+    differently, so identical requests coalesce when they arrive on the
+    same wire.
     """
-    canonical = json.dumps([op, payload], sort_keys=True,
-                           separators=(",", ":"), default=_jsonable)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    arrays: List[np.ndarray] = []
+
+    def stand_in(value: Any) -> Any:
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+            return _ARRAY_MARK
+        return _jsonable(value)
+
+    def canonical(default: Callable[[Any], Any]) -> str:
+        return json.dumps([op, payload], sort_keys=True,
+                          separators=(",", ":"), default=default)
+
+    text = canonical(stand_in)
+    if arrays and text.count(_ARRAY_MARK_JSON) != len(arrays):
+        arrays = []
+        text = "\x00" + canonical(_jsonable)
+    data = text.encode("utf-8")
+    digest = hashlib.sha256(struct.pack(">Q", len(data)))
+    digest.update(data)
+    for array in arrays:
+        block = np.asarray(array, dtype="<f8")
+        digest.update(struct.pack(f">{block.ndim + 1}Q", block.ndim,
+                                  *block.shape))
+        digest.update(block.tobytes())
+    return digest.hexdigest()

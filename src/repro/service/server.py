@@ -88,6 +88,7 @@ from repro.service.protocol import (
 )
 from repro.service.frames import (
     MAGIC,
+    MAX_FRAME_BYTES,
     PREFIX_SIZE,
     FrameError,
     decode_binary_frame,
@@ -162,9 +163,9 @@ class EstimationService:
     def _op_estimate(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Run one estimator on a submitted problem.
 
-        The curve round-trips through JSON bit-exactly (see
-        :mod:`repro.service.protocol`), so a remote caller reproduces an
-        in-process fit to the last bit.
+        The curve travels as a float64 array, bit-exact on either wire
+        (see :mod:`repro.service.protocol`), so a remote caller
+        reproduces an in-process fit to the last bit.
         """
         name = payload.get("estimator", self.default_estimator)
         kwargs = payload.get("kwargs", {})
@@ -370,14 +371,18 @@ class ServiceServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_workers,
             thread_name_prefix="repro-service")
+        # A JSON line may be as long as a binary frame: the default
+        # 64 KiB StreamReader limit is shorter than one paper-space
+        # estimate request.
         if self.address.path is not None:
             server = await asyncio.start_unix_server(
-                self._on_connection, path=self.address.path)
+                self._on_connection, path=self.address.path,
+                limit=MAX_FRAME_BYTES)
             self._bound = self.address
         else:
             server = await asyncio.start_server(
                 self._on_connection, host=self.address.host,
-                port=self.address.port)
+                port=self.address.port, limit=MAX_FRAME_BYTES)
             sockname = server.sockets[0].getsockname()
             self._bound = ServiceAddress(host=self.address.host,
                                          port=int(sockname[1]))
@@ -425,15 +430,16 @@ class ServiceServer:
                         frame, binary = await self._read_binary(reader,
                                                                 first)
                     else:
-                        frame = first + await reader.readline()
+                        frame = first + await _read_line(reader)
                         binary = False
-                except FrameError as exc:
-                    # A mangled prefix poisons the whole byte stream —
-                    # answer typed, then hang up rather than guess at
-                    # resynchronisation.
+                except ProtocolError as exc:
+                    # A mangled binary prefix or an over-long JSON line
+                    # poisons the whole byte stream — answer typed, in
+                    # the encoding the frame began in, then hang up
+                    # rather than guess at resynchronisation.
                     self.metrics.inc("service_protocol_errors_total")
                     await self._send(writer, Response.failure(None, exc),
-                                     binary=self.accept_binary)
+                                     binary=first == MAGIC)
                     break
                 except (ConnectionError, OSError, asyncio.IncompleteReadError):
                     break
@@ -666,6 +672,16 @@ class ServiceServer:
             spans = local.tracer.spans
             if spans:
                 self._request_spans.extend(spans)
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The rest of one JSON line; a line over the reader's limit raises
+    :class:`ProtocolError` (asyncio reports it as a bare ValueError)."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        raise ProtocolError(f"JSON line exceeds the {MAX_FRAME_BYTES}-"
+                            f"byte bound: {exc}") from exc
 
 
 def _observe_exception(task: "asyncio.Future") -> None:

@@ -15,7 +15,12 @@ Per call: the tenant key consistent-hashes to its owning shard
 that shard is reused (one :class:`ServiceClient` per shard, created on
 first use, kept across calls), and the wire is whatever that client
 negotiated — binary against this repo's fleet, JSON against a legacy
-broker.
+broker.  Estimate requests carry their float data as float64 arrays
+(:func:`~repro.service.protocol.problem_to_payload`), one raw block
+each on the binary wire; so on that wire the array fields of a raw
+:meth:`~ShardedServiceClient.call` or
+:meth:`~ShardedServiceClient.call_shard` reply (``rates``, ``powers``,
+``estimate``) are float64 ndarrays, where JSON lines give lists.
 
 Failure semantics: a transport failure that survives the inner
 client's own retries counts against the shard's health; at the

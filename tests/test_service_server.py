@@ -217,13 +217,14 @@ class TestDeadlines:
 
 
 class TestCoalescing:
-    def test_identical_estimates_share_one_fit(self, server):
+    @pytest.mark.parametrize("wire", ["json", "binary"])
+    def test_identical_estimates_share_one_fit(self, server, wire):
         address = server.bound_address
         problem = _problem(seed=9)
         results, errors = [], []
 
         def fit():
-            with ServiceClient(address, timeout=60.0) as c:
+            with ServiceClient(address, timeout=60.0, wire=wire) as c:
                 try:
                     results.append(c.estimate(problem, estimator="leo",
                                               deadline_s=30.0))
