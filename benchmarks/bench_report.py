@@ -2,7 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_report.py [--out BENCH_8.json]
+    PYTHONPATH=src python benchmarks/bench_report.py [--out PATH]
     PYTHONPATH=src python benchmarks/bench_report.py --quick  # skip slow gates
 
 Runs the CI smoke gates (``perf_smoke``, ``service_smoke``,
@@ -15,7 +15,9 @@ big.LITTLE configuration space), since that path's latency governs the
 hetero sweep's cost.
 The resulting ``BENCH_N.json`` files form the perf trajectory the
 ROADMAP asks for: one committed record per PR, diffable across the
-stack's growth, instead of anecdotal "feels faster" claims.
+stack's growth, instead of anecdotal "feels faster" claims.  ``N`` is
+one more than the highest record already at the repo root, so a run
+never overwrites a committed one.
 
 The record deliberately carries no timestamp: a re-run on the same tree
 should produce the same file modulo wall-clock fields, so review diffs
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -107,7 +110,7 @@ def hetero_timings() -> dict:
 
 
 def shard_timings() -> dict:
-    """Throughput of a small sharded run on both wire protocols.
+    """Throughput of a small sharded run.
 
     A deliberately modest load (2 shards x 2 clients x 50 requests) so
     the record tracks wire and routing overhead across PRs without
@@ -118,17 +121,14 @@ def shard_timings() -> dict:
         sharded_throughput_experiment,
     )
 
-    record = {}
-    for wire in ("json", "binary"):
-        result = sharded_throughput_experiment(
-            shards=2, clients=2, requests_per_client=50, tenants=8,
-            wire=wire, workers=2)
-        record[wire] = {
-            "requests": result.completed,
-            "requests_per_second": round(result.requests_per_second, 1),
-            "latency_p99_seconds": round(result.latency["p99"], 4),
-        }
-    return record
+    result = sharded_throughput_experiment(
+        shards=2, clients=2, requests_per_client=50, tenants=8,
+        workers=2)
+    return {
+        "requests": result.completed,
+        "requests_per_second": round(result.requests_per_second, 1),
+        "latency_p99_seconds": round(result.latency["p99"], 4),
+    }
 
 
 def soak_timings() -> dict:
@@ -181,10 +181,19 @@ def run_gate(name: str, extra_args=()) -> dict:
     return record
 
 
+def next_bench_number(root: Path = REPO) -> int:
+    """One more than the highest ``BENCH_<N>.json`` under ``root``."""
+    numbers = [int(match.group(1)) for path in root.glob("BENCH_*.json")
+               if (match := re.fullmatch(r"BENCH_(\d+)\.json", path.name))]
+    return max(numbers, default=0) + 1
+
+
 def main() -> int:
+    bench = next_bench_number()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(REPO / "BENCH_9.json"),
-                        help="where to write the report")
+    parser.add_argument("--out", default=str(REPO / f"BENCH_{bench}.json"),
+                        help="where to write the report (default: the "
+                             "next BENCH_<N>.json at the repo root)")
     parser.add_argument("--quick", action="store_true",
                         help="run only the fast gates")
     args = parser.parse_args()
@@ -208,7 +217,7 @@ def main() -> int:
             }
 
     report = {
-        "bench": 9,
+        "bench": bench,
         "generator": "benchmarks/bench_report.py",
         "quick": bool(args.quick),
         "suites": suites,

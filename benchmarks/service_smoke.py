@@ -14,10 +14,11 @@ worker, admission bound 2), then drives it the way a deployment would:
   second, warm request returns the identical curves with zero samples —
   the cross-tenant amortization guarantee;
 * a paper-space ``estimate`` (1024x4 features, a leave-one-out 24x1024
-  prior, 20 samples, ``estimator="offline"``) sent over the JSON-lines
-  wire and over the binary wire must both come back bit-equal to the
-  in-process estimate — the request line is far longer than asyncio's
-  default 64 KiB line limit, and float arrays must survive either wire;
+  prior, 20 samples, ``estimator="offline"``) must come back bit-equal
+  to the in-process estimate — the request frame is far longer than
+  asyncio's default 64 KiB stream limit;
+* ``repro request`` run against the same server must print one JSON
+  line whose calibrated curves are bit-equal to a client's reply;
 * the broker's metrics must account for every one of those requests;
 * the ``shutdown`` op must stop the server process cleanly (exit 0).
 
@@ -27,6 +28,7 @@ the subprocess + socket path, not a figure reproduction.
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import tempfile
@@ -124,13 +126,14 @@ def check_warm_start(address) -> None:
     assert cold["source"] == "calibration" and cold["version"] == 1, cold
     assert warm["source"] == "registry", warm
     assert warm["samples_used"] == 0, warm
-    assert warm["rates"] == cold["rates"], "warm curves must be identical"
-    assert warm["powers"] == cold["powers"]
+    for key in ("rates", "powers"):
+        assert warm[key].tobytes() == cold[key].tobytes(), (
+            f"warm {key} must be identical")
     print("warm start: version 1 published, second tenant used 0 samples")
 
 
 def check_paper_estimate(address) -> None:
-    """A paper-scale estimate over both wires equals the local one."""
+    """A paper-scale estimate over the wire equals the local one."""
     ctx = harness.default_context("paper", 0)
     app = ctx.benchmark_names[0]
     view = ctx.dataset.leave_one_out(app)
@@ -141,14 +144,33 @@ def check_paper_estimate(address) -> None:
                                 observed_indices=indices,
                                 observed_values=powers)
     local = create_estimator("offline").estimate(problem).tobytes()
-    for wire in ("json", "binary"):
-        with ServiceClient(address, timeout=60.0, wire=wire) as client:
-            remote = client.estimate(problem, estimator="offline",
-                                     deadline_s=30.0)
-        assert np.asarray(remote, dtype=np.float64).tobytes() == local, (
-            f"{wire} estimate differs from the in-process one")
+    with ServiceClient(address, timeout=60.0) as client:
+        remote = client.estimate(problem, estimator="offline",
+                                 deadline_s=30.0)
+    assert remote.tobytes() == local, (
+        "estimate differs from the in-process one")
     print(f"paper estimate: {problem.features.shape} features, "
-          f"{problem.prior.shape} prior, bit-equal over json and binary")
+          f"{problem.prior.shape} prior, bit-equal to in-process")
+
+
+def check_request_command(address) -> None:
+    """``repro request`` prints one JSON line equal to a client's reply."""
+    payload = {"app": "kmeans", "space": "cores", "samples": 6,
+               "estimator": "offline"}
+    process = subprocess.run(
+        [sys.executable, "-m", "repro", "request", str(address),
+         "calibrate-report", "--payload", json.dumps(payload)],
+        capture_output=True, text=True, cwd=str(REPO), timeout=120.0)
+    assert process.returncode == 0, process.stderr
+    assert process.stdout.count("\n") == 1, process.stdout[:200]
+    printed = json.loads(process.stdout)
+    assert printed["ok"] is True, printed
+    with ServiceClient(address, timeout=60.0) as client:
+        direct = client.call("calibrate-report", payload)
+    for key in ("rates", "powers"):
+        assert (np.asarray(printed["payload"][key]).tobytes()
+                == direct[key].tobytes()), f"printed {key} differ"
+    print("repro request: one JSON line, curves bit-equal to the client's")
 
 
 def check_metrics(address) -> None:
@@ -169,6 +191,7 @@ def main() -> int:
             check_admission(address)
             check_warm_start(address)
             check_paper_estimate(address)
+            check_request_command(address)
             check_metrics(address)
             with ServiceClient(address, timeout=10.0) as client:
                 assert client.shutdown() == {"stopping": True}

@@ -1,4 +1,4 @@
-"""CI smoke check for the sharded service: fleet, wire, and chaos.
+"""CI smoke check for the sharded service: fleet, routing, and chaos.
 
 Usage::
 
@@ -10,16 +10,12 @@ written:
 * the consistent-hash router must be bit-deterministic across
   instances and remap only the lost shard's tenants when one leaves;
 * a ``RemoteEstimator``-shaped ``estimate`` over the fleet must be
-  bit-identical to local execution on BOTH wires — the JSON-lines v1
-  protocol and the negotiated binary v2 frames;
-* binary frames must not be pathologically slower than JSON on the
-  same fleet (a loose ratio bound; the win is exactness, not speed);
+  bit-identical to local execution;
 * under the ``shard-loss`` fault plan a crashed broker's tenants shed
   with the typed ``ShardUnavailable`` while every other shard keeps
   answering — and the same holds when a real broker is stopped;
 * the fleet-scale load run (8 clients x 400 requests = 3200, 100x the
-  single-broker experiment) must complete with its p99 latency SLO met
-  over the negotiated binary wire.
+  single-broker experiment) must complete with its p99 latency SLO met.
 
 Kept out of the ``test_*`` namespace on purpose: it is a CI gate over
 the fleet + socket path, not a figure reproduction.
@@ -98,41 +94,15 @@ def check_router() -> None:
 
 
 def check_bit_equality(fleet: ShardFleet) -> None:
-    """Fleet estimates over BOTH wires == local execution, bit for bit."""
+    """Fleet estimates == local execution, bit for bit."""
     problem = _make_problem(seed=42)
     local = create_estimator("offline").estimate(problem)
-    curves = {}
-    for wire in ("json", "binary"):
-        with ShardedServiceClient(fleet.addresses, wire=wire) as client:
-            curves[wire] = client.estimate(problem, estimator="offline",
-                                           tenant_key="bit-eq")
-            mode = client.client_for(
-                client.router.route("bit-eq")).wire_mode
-            assert mode == wire, f"expected {wire} wire, got {mode}"
-    assert np.array_equal(local, curves["json"]), (
-        "JSON wire drifted from local execution")
-    assert np.array_equal(local, curves["binary"]), (
-        "binary wire drifted from local execution")
-    print("bit-equality: estimate over json and binary wires identical "
-          "to local execution")
-
-
-def check_wire_throughput() -> None:
-    """Binary frames must stay within a loose ratio of JSON throughput."""
-    rates = {}
-    for wire in ("json", "binary"):
-        result = sharded_throughput_experiment(
-            shards=2, clients=2, requests_per_client=25, tenants=8,
-            wire=wire, workers=2)
-        assert result.completed == result.total_requests, result.to_dict()
-        assert result.wire_mode == wire, result.wire_mode
-        rates[wire] = result.requests_per_second
-    ratio = rates["binary"] / max(rates["json"], 1e-9)
-    # The binary wire buys bit-exactness, not speed; the gate only
-    # rejects a pathological regression.
-    assert ratio > 0.25, f"binary/json throughput ratio {ratio:.2f}"
-    print(f"wire throughput: json {rates['json']:.0f} rps, binary "
-          f"{rates['binary']:.0f} rps (ratio {ratio:.2f})")
+    with ShardedServiceClient(fleet.addresses) as client:
+        remote = client.estimate(problem, estimator="offline",
+                                 tenant_key="bit-eq")
+    assert remote.tobytes() == local.tobytes(), (
+        "fleet estimate drifted from local execution")
+    print("bit-equality: fleet estimate identical to local execution")
 
 
 def check_shard_loss_plan(fleet: ShardFleet) -> None:
@@ -200,12 +170,11 @@ def check_real_shard_loss() -> None:
 
 
 def check_scale() -> None:
-    """The acceptance run: 3200 requests, p99 SLO, binary wire."""
+    """The acceptance run: 3200 requests, p99 SLO."""
     result = sharded_throughput_experiment(workers=4)
     assert result.total_requests >= 3200, result.total_requests
     assert result.completed == result.total_requests, result.to_dict()
     assert result.unavailable == 0 and result.shed == 0, result.to_dict()
-    assert result.wire_mode == "binary", result.wire_mode
     objectives = {obj["name"]: obj for obj in result.slo["objectives"]}
     p99 = objectives["latency-p99"]
     assert p99["met"], result.slo
@@ -213,7 +182,7 @@ def check_scale() -> None:
           f"shards in {result.wall_seconds:.1f}s "
           f"({result.requests_per_second:.0f} rps), p99 "
           f"{p99['observed'] * 1e3:.0f}ms <= "
-          f"{p99['target'] * 1e3:.0f}ms, wire {result.wire_mode}")
+          f"{p99['target'] * 1e3:.0f}ms")
 
 
 def main() -> int:
@@ -222,7 +191,6 @@ def main() -> int:
         check_bit_equality(fleet)
         check_shard_loss_plan(fleet)
     check_real_shard_loss()
-    check_wire_throughput()
     check_scale()
     print("OK")
     return 0

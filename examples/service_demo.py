@@ -25,6 +25,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.service import (
     EstimationService,
     ModelRegistry,
@@ -62,8 +64,9 @@ def main() -> None:
         warm_seconds = time.perf_counter() - started
         print(f"  source={warm['source']}  samples_used="
               f"{warm['samples_used']}  ({warm_seconds:.3f}s)")
-        identical = (warm["rates"] == cold["rates"]
-                     and warm["powers"] == cold["powers"])
+        identical = all(
+            np.asarray(warm[key]).tobytes() == np.asarray(cold[key]).tobytes()
+            for key in ("rates", "powers"))
         print(f"  curves identical to tenant A's: {identical}")
         if cold_seconds > 0 and warm_seconds > 0:
             print(f"  warm start is ~{cold_seconds / warm_seconds:,.0f}x "

@@ -20,10 +20,10 @@ Commands:
 * ``serve`` — run the multi-tenant estimation service (see
   docs/SERVICE.md); prints ``SERVING <address>`` once listening.
 * ``request`` — send one operation to a running service and print the
-  JSON response.
+  response as one line of JSON.
 * ``shard`` — spin up an N-shard fleet (docs/SHARDING.md), route demo
-  requests by tenant key over the negotiated wire, and dump per-shard
-  routing and metrics as JSON.
+  requests by tenant key, and dump per-shard routing and metrics as
+  JSON.
 * ``obs summarize PATH [PATH ...]`` — render one or more JSONL trace
   shards (written with ``--trace``, by workers, or by a server) as one
   merged span tree with per-name aggregates; warns about orphans.
@@ -261,10 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="distinct tenant keys to route")
     shard.add_argument("--requests", type=int, default=4, metavar="K",
                        help="ping requests per tenant")
-    shard.add_argument("--wire", choices=("auto", "json", "binary"),
-                       default="auto",
-                       help="wire protocol: auto negotiates binary "
-                            "frames, json forces the v1 protocol")
     shard.add_argument("--max-pending", type=int, default=32, metavar="K",
                        help="per-shard admission bound")
     shard.add_argument("--seed", type=int, default=0)
@@ -745,14 +741,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_request(args: argparse.Namespace) -> int:
-    import json
-
     from repro.service import ServiceAddress, ServiceClient, ServiceError
+    from repro.service.protocol import decode_frame, encode_frame
     try:
         address = ServiceAddress.parse(args.address)
-        payload = json.loads(args.payload) if args.payload else {}
-        if not isinstance(payload, dict):
-            raise ValueError("--payload must be a JSON object")
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -760,19 +752,21 @@ def _cmd_request(args: argparse.Namespace) -> int:
                            retries=args.retries,
                            retry_overloaded=args.retry_overloaded)
     try:
-        result = client.call(args.op, payload, deadline_s=args.deadline)
+        payload = (decode_frame(args.payload.encode("utf-8"))
+                   if args.payload else {})
+        reply = {"ok": True, "payload": client.call(
+            args.op, payload, deadline_s=args.deadline)}
     except ServiceError as exc:
-        print(json.dumps({"ok": False,
-                          "error": {"type": exc.code, "message": str(exc),
-                                    "details": exc.details}}, indent=2))
-        return 1
+        reply = {"ok": False, "error": {"type": exc.code,
+                                        "message": str(exc),
+                                        "details": exc.details}}
     except (ConnectionError, OSError) as exc:
         print(f"cannot reach {address}: {exc}", file=sys.stderr)
         return 1
     finally:
         client.close()
-    print(json.dumps({"ok": True, "payload": result}, indent=2))
-    return 0
+    sys.stdout.write(encode_frame(reply).decode("utf-8"))
+    return 0 if reply["ok"] else 1
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
@@ -787,8 +781,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     with ShardFleet(num_shards=args.shards,
                     replicas_per_shard=args.replicas,
                     max_pending=args.max_pending) as fleet:
-        with ShardedServiceClient(fleet.addresses,
-                                  wire=args.wire) as client:
+        with ShardedServiceClient(fleet.addresses) as client:
             routed: dict = {shard_id: 0 for shard_id in fleet.shard_ids}
             shed = 0
             for index in range(args.tenants):
@@ -810,9 +803,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
                     }
                     for shard_id, address in fleet.addresses.items()
                 },
-                "wire": {shard_id: shard_client.wire_mode
-                         for shard_id, shard_client
-                         in client._pool.items()},
                 "shed": shed,
                 "replication_lag_s": fleet.replication_lag(),
                 "metrics": client.metrics(),

@@ -229,7 +229,7 @@ class DeadlineExceeded(ServiceError):
 
 
 class RequestRejected(ServiceError):
-    """The request is well-formed JSON but semantically invalid."""
+    """The request is well-formed but semantically invalid."""
 
     code = "bad-request"
 
@@ -247,14 +247,14 @@ class ProtocolError(ServiceError):
 
 
 class FrameError(ProtocolError):
-    """A binary wire frame is truncated, corrupt, or from an unknown
-    protocol version.
+    """A wire frame is truncated, corrupt, or from an unknown protocol
+    version.
 
-    Subclasses :class:`ProtocolError` so transports that already treat
-    unparseable input as a protocol failure handle binary framing
-    failures identically, while new callers can distinguish the framed
-    codec (checksum mismatch, bad magic, truncation) from JSON-lines
-    parse errors.
+    Subclasses :class:`ProtocolError`, so code that handles any
+    malformed message handles a framing failure too.  The client drops
+    its connection on one, since the rest of a bad frame would be read
+    as the next reply; the broker drops a connection whose frame
+    boundaries it can no longer find (bad magic or prefix, truncation).
     """
 
     code = "frame-error"

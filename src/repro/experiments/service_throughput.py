@@ -19,10 +19,9 @@ and coalesce totals for a given mix) are deterministic.
 
 :func:`sharded_throughput_experiment` is the fleet-scale variant: the
 same client loops, but ~100x the request volume against a
-:class:`~repro.shard.ShardFleet`, routed per tenant key over the binary
-wire, with the p99 latency reported through an
-:class:`~repro.obs.slo.SloTracker` objective — the acceptance number
-for the sharding PR.
+:class:`~repro.shard.ShardFleet`, routed per tenant key, with the p99
+latency reported through an :class:`~repro.obs.slo.SloTracker`
+objective — the fleet's acceptance number.
 """
 
 from __future__ import annotations
@@ -195,7 +194,6 @@ class ShardedThroughputResult:
     shed: int
     unavailable: int
     wall_seconds: float
-    wire_mode: str
     latency: Dict[str, float]
     per_shard_requests: Dict[str, int]
     slo: Dict[str, Any]
@@ -217,13 +215,12 @@ class ShardedThroughputResult:
         return payload
 
 
-def _sharded_client_cell(shared: Tuple[Dict[str, str], int, int, int, int,
-                                       str],
+def _sharded_client_cell(shared: Tuple[Dict[str, str], int, int, int, int],
                          cell: Tuple[int, int]) -> Dict[str, Any]:
     """One client's request loop against the fleet (pickles by name).
 
     ``shared`` is (address map as text, requests per client,
-    num_configs, distinct problem count, tenant count, wire mode);
+    num_configs, distinct problem count, tenant count);
     ``cell`` is (client index, base seed).  Each request routes as one
     of ``tenants`` tenant keys, so traffic spreads over every shard the
     way a real multi-tenant population would.
@@ -231,15 +228,14 @@ def _sharded_client_cell(shared: Tuple[Dict[str, str], int, int, int, int,
     from repro.service import ServiceAddress
     from repro.shard import ShardedServiceClient
 
-    addresses_text, requests, num_configs, distinct, tenants, wire = shared
+    addresses_text, requests, num_configs, distinct, tenants = shared
     client_index, base_seed = cell
     addresses = {shard: ServiceAddress.parse(text)
                  for shard, text in addresses_text.items()}
     latencies: List[float] = []
     shed = unavailable = 0
     rng = np.random.default_rng(cell_seed(base_seed, "order", client_index))
-    with ShardedServiceClient(addresses, wire=wire,
-                              timeout=120.0) as client:
+    with ShardedServiceClient(addresses, timeout=120.0) as client:
         for _ in range(requests):
             problem = _make_problem(
                 cell_seed(base_seed, "problem",
@@ -271,7 +267,6 @@ def sharded_throughput_experiment(shards: int = 4,
                                   max_workers: int = 2,
                                   replicas_per_shard: int = 1,
                                   seed: int = 0,
-                                  wire: str = "auto",
                                   latency_target_s: float = 2.0,
                                   workers: Optional[int] = None
                                   ) -> ShardedThroughputResult:
@@ -294,7 +289,6 @@ def sharded_throughput_experiment(shards: int = 4,
         max_workers: Per-shard handler threads.
         replicas_per_shard: Registry read replicas per shard.
         seed: Base seed for problems, tenants, and request order.
-        wire: Wire mode for the clients (``"auto"`` negotiates binary).
         latency_target_s: The p99 objective bound in the SLO report.
         workers: Client-side parallelism (``None`` reads
             ``REPRO_WORKERS``).
@@ -307,19 +301,16 @@ def sharded_throughput_experiment(shards: int = 4,
         addresses_text = {shard: str(address)
                           for shard, address in fleet.addresses.items()}
         shared = (addresses_text, requests_per_client, num_configs,
-                  max(1, distinct_problems), max(1, tenants), wire)
+                  max(1, distinct_problems), max(1, tenants))
         cells = [(i, seed) for i in range(clients)]
         runner = ParallelRunner(workers=workers)
         started = time.perf_counter()
         outcomes = runner.map(_sharded_client_cell, cells, shared=shared)
         wall = time.perf_counter() - started
         per_shard: Dict[str, int] = {}
-        wire_mode = "unknown"
         for shard, address in fleet.addresses.items():
-            with ServiceClient(address, wire=wire) as probe:
+            with ServiceClient(address) as probe:
                 counters = probe.metrics()["metrics"]["counters"]
-                if probe.wire_mode is not None:
-                    wire_mode = probe.wire_mode
             per_shard[shard] = int(
                 counters.get("service_requests_total", 0))
 
@@ -346,7 +337,6 @@ def sharded_throughput_experiment(shards: int = 4,
         shed=shed,
         unavailable=unavailable,
         wall_seconds=wall,
-        wire_mode=wire_mode,
         latency={key: snapshot[key]
                  for key in ("count", "mean", "p50", "p90", "p99")},
         per_shard_requests=per_shard,

@@ -10,12 +10,12 @@ estimates to any number of tenants.
 
 Layers (see docs/SERVICE.md for the protocol and operational reference):
 
-* :mod:`repro.service.protocol` — the JSON-lines wire protocol (v1),
+* :mod:`repro.service.protocol` — request and reply messages, the
   typed error hierarchy (:class:`ServiceOverloaded`,
-  :class:`DeadlineExceeded`, ...), and :class:`ServiceAddress`.
-* :mod:`repro.service.frames` — the length-prefixed binary wire
-  protocol (v2): bit-exact float64 frames, CRC-checked, negotiated
-  per connection so v1 clients keep working (see docs/SHARDING.md).
+  :class:`DeadlineExceeded`, ...), :class:`ServiceAddress`, and the
+  JSON text ``repro request`` reads and prints.
+* :mod:`repro.service.frames` — the wire: length-prefixed,
+  CRC-checked binary frames with bit-exact float64s.
 * :mod:`repro.service.registry` — :class:`ModelRegistry`, a versioned,
   schema-checked model store layered on
   :class:`repro.runtime.persistence.EstimateStore`.

@@ -1,20 +1,13 @@
 """The service client and the :class:`RemoteEstimator` adapter.
 
-:class:`ServiceClient` speaks the wire protocol over one connection,
-with automatic reconnect-and-retry (exponential backoff) for transport
-failures and — optionally — for load sheds.  The wire encoding is
-JSON-lines (protocol v1) by default; ``wire="auto"`` negotiates the
-binary protocol v2 per server — the client probes with one binary ping
-and falls back to JSON-lines when the server answers in JSON — so a
-binary-preferring client against an old broker degrades transparently.
-Both encodings round-trip float64 bit-exactly, so the choice is a
-transport detail, never a numerics one.  Requests carry their float
-data as float64 arrays (:func:`~repro.service.protocol.encode_array`):
-one raw block each on the binary wire, nested lists on JSON lines.
-What a raw :meth:`ServiceClient.call` returns follows the wire: array
-fields of a reply (``rates``, ``powers``, ``estimate``) are float64
-arrays on v2 and lists on v1; :meth:`ServiceClient.estimate` returns an
-array either way.
+:class:`ServiceClient` speaks the wire protocol — binary frames
+(:mod:`repro.service.frames`) — over one connection, with automatic
+reconnect-and-retry (exponential backoff) for transport failures and —
+optionally — for load sheds.  Requests carry their float data as
+float64 arrays (:func:`~repro.service.protocol.encode_array`), one raw
+block each, and the array fields of a reply (``rates``, ``powers``,
+``estimate``) come back from :meth:`ServiceClient.call` as float64
+ndarrays.
 
 :class:`RemoteEstimator` implements the
 :class:`~repro.estimators.base.Estimator` protocol over a client, so a
@@ -25,11 +18,10 @@ a service **without changing a line of controller code**::
     controller = RuntimeController(machine, space,
                                    estimator=RemoteEstimator(client))
 
-Because curves survive either wire bit-exactly (see
-:mod:`repro.service.protocol`) and the estimators are deterministic
-given the problem, a remote-backed controller run reproduces the
-in-process run to the last bit — ``tests/test_service_e2e.py`` asserts
-exactly that.
+Because curves survive the wire bit-exactly and the estimators are
+deterministic given the problem, a remote-backed controller run
+reproduces the in-process run to the last bit —
+``tests/test_service_e2e.py`` asserts exactly that.
 """
 
 from __future__ import annotations
@@ -52,7 +44,6 @@ from repro.estimators.base import (
 from repro.faults.context import get_injector
 from repro.obs import current_trace_context, get_tracer
 from repro.service.frames import (
-    MAGIC,
     FrameError,
     decode_binary_frame,
     encode_binary_frame,
@@ -67,9 +58,7 @@ from repro.service.protocol import (
     ServiceAddress,
     ServiceOverloaded,
     decode_array,
-    decode_frame,
     encode_array,
-    encode_frame,
     problem_to_payload,
 )
 
@@ -113,16 +102,10 @@ class ServiceClient:
             budget and the backoff sleeps; ``None`` reads the ambient
             clock per call, so a client created outside a
             ``clock.use(...)`` block still goes virtual inside one.
-        wire: Wire encoding.  ``"json"`` (default) is protocol v1,
-            compatible with every broker ever shipped.  ``"auto"``
-            probes each new server with one binary ping and downgrades
-            to JSON-lines when the answer comes back as JSON (the
-            binary frame's trailing newline guarantees a v1 broker
-            *answers* the probe instead of waiting for a line that
-            never ends); the result is cached across reconnects and
-            readable from :attr:`wire_mode`.  ``"binary"`` forces
-            protocol v2 without probing.  The sharded client defaults
-            to ``"auto"`` — the fleet is always binary-capable.
+        wire: ``"binary"`` or ``"auto"``; both name the one wire, and
+            any other value raises ``ValueError``.  It is kept only
+            because ``perfbench/loads.py`` passes ``wire="auto"``; the
+            next change to the benchmark deletes it.
     """
 
     def __init__(self, address: ServiceAddress, timeout: float = 60.0,
@@ -132,7 +115,7 @@ class ServiceClient:
                  default_deadline_s: Optional[float] = None,
                  jitter_seed: Optional[int] = None,
                  clock: Optional[Clock] = None,
-                 wire: str = "json") -> None:
+                 wire: str = "binary") -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if backoff < 0:
@@ -140,9 +123,9 @@ class ServiceClient:
         if backoff_cap <= 0:
             raise ValueError(f"backoff_cap must be positive, "
                              f"got {backoff_cap}")
-        if wire not in ("auto", "json", "binary"):
-            raise ValueError(f"wire must be 'auto', 'json', or 'binary', "
-                             f"got {wire!r}")
+        if wire not in ("auto", "binary"):
+            raise ValueError(f"wire={wire!r}: the JSON-lines wire was "
+                             f"removed; binary frames are the only wire")
         self.address = address
         self.timeout = timeout
         self.retries = retries
@@ -150,13 +133,11 @@ class ServiceClient:
         self.backoff_cap = backoff_cap
         self.retry_overloaded = retry_overloaded
         self.default_deadline_s = default_deadline_s
-        self.wire = wire
         self._clock = clock
         self._jitter = random.Random(jitter_seed)
         self._ids = itertools.count(1)
         self._sock: Optional[socket.socket] = None
         self._file = None
-        self._negotiated: Optional[str] = None if wire == "auto" else wire
 
     @property
     def clock(self) -> Clock:
@@ -164,47 +145,10 @@ class ServiceClient:
         return clockmod.resolve(self._clock)
 
     # -- connection management ------------------------------------------
-    @property
-    def wire_mode(self) -> Optional[str]:
-        """The encoding in use: ``"json"``, ``"binary"``, or ``None``
-        before the first ``auto`` connection negotiates."""
-        return self._negotiated
-
     def _ensure_connected(self) -> None:
         if self._sock is None:
             self._sock = self.address.connect(timeout=self.timeout)
             self._file = self._sock.makefile("rb")
-            if self._negotiated is None:
-                self._negotiate()
-
-    def _negotiate(self) -> None:
-        """One binary ping probe; a JSON answer downgrades to v1.
-
-        A protocol-v2 broker answers the probe in binary — done.  A
-        pre-binary broker answers with a JSON-lines protocol error (or
-        hangs up on the unparseable bytes); either way the client caches
-        ``"json"`` and reopens a clean connection, so existing servers
-        keep working without a flag anywhere.
-        """
-        request = Request(op="ping", payload={"echo": "wire-probe"},
-                          request_id=next(self._ids))
-        try:
-            self._sock.sendall(encode_binary_frame(request.to_wire()))
-            first = self._file.read(1)
-            if first == MAGIC:
-                # Drain (and validate) the binary pong.
-                decode_binary_frame(read_binary_frame(self._file,
-                                                      first=first))
-                self._negotiated = "binary"
-                return
-        except (ConnectionError, OSError, FrameError):
-            pass
-        self._negotiated = "json"
-        logger.debug("wire negotiation fell back to JSON-lines",
-                     extra={"fields": {"address": str(self.address)}})
-        self.close()
-        self._sock = self.address.connect(timeout=self.timeout)
-        self._file = self._sock.makefile("rb")
 
     def close(self) -> None:
         """Drop the connection (the next call reconnects)."""
@@ -344,10 +288,7 @@ class ServiceClient:
                           request_id=next(self._ids),
                           deadline_s=deadline_s,
                           trace=ctx.to_wire() if ctx is not None else None)
-        wire = request.to_wire()
-        self._sock.sendall(encode_binary_frame(wire)
-                           if self._negotiated == "binary"
-                           else encode_frame(wire))
+        self._sock.sendall(encode_binary_frame(request.to_wire()))
         # Responses on a pipelined connection may arrive out of order;
         # drain frames until ours shows up.  (This client issues calls
         # serially, so "out of order" only means responses to requests
@@ -365,14 +306,17 @@ class ServiceClient:
                          extra={"fields": {"id": response.request_id}})
 
     def _read_frame(self) -> Dict[str, Any]:
-        """Read one response frame, sniffing its encoding by first byte."""
-        first = self._file.read(1)
-        if not first:
-            raise ConnectionError("service closed the connection")
-        if first == MAGIC:
-            return decode_binary_frame(
-                read_binary_frame(self._file, first=first))
-        return decode_frame(first + self._file.readline())
+        """Read one response frame.
+
+        A :class:`FrameError` drops the connection before it propagates:
+        the rest of a bad frame would otherwise be read as the start of
+        the next reply, so the next call reconnects instead.
+        """
+        try:
+            return decode_binary_frame(read_binary_frame(self._file))
+        except FrameError:
+            self.close()
+            raise
 
     # -- op conveniences ------------------------------------------------
     def ping(self, echo: Any = None) -> Dict[str, Any]:

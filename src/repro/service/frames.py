@@ -1,20 +1,16 @@
-"""The binary wire protocol: length-prefixed, checksummed frames.
+"""The service wire: length-prefixed, checksummed binary frames.
 
-Protocol version 2.  The JSON-lines protocol (version 1, see
-:mod:`repro.service.protocol`) is simple and bit-exact, but it pays
-``repr``/parse costs per float and cannot carry NaN payloads or
-distinguish ``-0.0`` in every JSON implementation.  This codec encodes
-the *same* request/response dictionaries as binary frames whose float64
-values are raw IEEE-754 bytes — bit-exact round trips for every double
-(subnormals, NaN payloads, ``-0.0``, ``±inf``) by construction rather
-than by the grace of shortest-repr printing.
+Every request and reply between a :class:`~repro.service.client.
+ServiceClient` and the broker travels as one frame.  A frame carries a
+request/response dictionary (:mod:`repro.service.protocol`) whose
+float64 values are raw IEEE-754 bytes, so every double (subnormals, NaN
+payloads, ``-0.0``, ``±inf``) round-trips bit-exactly by construction.
 
 Frame layout (all integers big-endian)::
 
-    MAGIC    1 byte   0xAB — not '{', not valid UTF-8 lead byte, so a
-                      broker can tell a binary frame from a JSON line
-                      by its first byte
-    VERSION  1 byte   0x02 (this codec is wire protocol version 2)
+    MAGIC    1 byte   0xAB — neither '{' nor a UTF-8 lead byte, so the
+                      broker refuses a stray text line at its first byte
+    VERSION  1 byte   0x02 (wire protocol version 2)
     FLAGS    1 byte   bit 0: a trace-context header follows the prefix
     LENGTH   4 bytes  byte length of HEADER + BODY
     HEADER   tagged dict — the optional ``trace`` context
@@ -24,17 +20,11 @@ Frame layout (all integers big-endian)::
     CRC32    4 bytes  zlib.crc32 over HEADER + BODY
     TERM     1 byte   0x0A
 
-The trailing newline is not framing (LENGTH is authoritative) — it is
-the escape hatch that makes version negotiation terminate against a
-protocol-v1 peer: a JSON-lines broker doing ``readline()`` on a binary
-probe gets a complete (garbage) line, answers with its usual typed
-protocol error, and the probing client downgrades on seeing a JSON
-first byte.  Without it, a small binary frame containing no ``0x0A``
-byte would hang a v1 peer's readline forever.
+LENGTH says where a frame ends; TERM is a framing check on top of it: a
+frame whose last byte is not ``0x0A`` is rejected as corrupt framing.
 
 Carrying the trace context in the frame *header* keeps it out of the
-operation payload (and out of coalescing fingerprints) exactly like the
-JSON protocol's top-level ``trace`` field.
+operation payload, and so out of coalescing fingerprints.
 
 Tagged value encoding (one ASCII tag byte, then the value):
 
@@ -63,23 +53,18 @@ no wider than float64 are accepted; other arrays raise rather than
 convert lossily.
 
 Every decode failure — short read, bad magic, future version, length
-overflow, checksum mismatch, unknown tag, trailing bytes — raises the
-typed :class:`~repro.errors.FrameError` (wire code ``frame-error``), a
-:class:`~repro.errors.ProtocolError` subclass, so transports shed
-corrupt frames with the same typed-error machinery as unparseable JSON.
-
-Version negotiation: the broker answers each frame in the encoding it
-arrived in, so JSON-lines (v1) clients keep working untouched; a
-binary-capable client probes with one v2 frame and falls back to v1
-when the answer comes back as a JSON error (see
-:class:`repro.service.client.ServiceClient` ``wire="auto"``).
+overflow, checksum mismatch, unknown tag, trailing bytes, missing
+terminator — raises the typed :class:`~repro.errors.FrameError` (wire
+code ``frame-error``), a :class:`~repro.errors.ProtocolError` subclass,
+so a corrupt frame is answered with the same typed-error machinery as
+any other malformed request.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -102,9 +87,9 @@ __all__ = [
 #: The wire-protocol version this codec implements.
 BINARY_PROTOCOL_VERSION = 2
 
-#: First byte of every binary frame.  ``0xAB`` is neither ``{`` (the
-#: first byte of every JSON-lines frame) nor a legal UTF-8 lead byte,
-#: so one-byte sniffing cannot misclassify either protocol.
+#: First byte of every frame.  ``0xAB`` is neither ``{`` nor a legal
+#: UTF-8 lead byte, so a stray JSON or text line fails at its first
+#: byte.
 MAGIC = b"\xab"
 
 #: MAGIC + VERSION + FLAGS + LENGTH.
@@ -331,8 +316,7 @@ def parse_prefix(prefix: bytes) -> Tuple[int, int]:
     if version != BINARY_PROTOCOL_VERSION:
         raise FrameError(
             f"unsupported binary protocol version {version} "
-            f"(this build speaks {BINARY_PROTOCOL_VERSION}; JSON-lines "
-            f"v1 is always accepted)")
+            f"(this build speaks {BINARY_PROTOCOL_VERSION})")
     length = _U32.unpack(prefix[3:7])[0]
     if length > MAX_FRAME_BYTES:
         raise FrameError(f"frame length {length} exceeds the "
@@ -379,19 +363,17 @@ def decode_binary_frame(data: bytes) -> Dict[str, Any]:
     return body
 
 
-def read_binary_frame(readable, first: Optional[bytes] = None) -> bytes:
+def read_binary_frame(readable) -> bytes:
     """Read one complete frame from a blocking file-like object.
 
-    ``first`` is an already-consumed leading byte (from protocol
-    sniffing).  Returns the full frame bytes; raises
-    :class:`FrameError` on truncation and ``ConnectionError`` on a
-    clean EOF before any byte arrives.
+    Returns the full frame bytes; raises :class:`FrameError` on
+    truncation and ``ConnectionError`` on a clean EOF before any byte
+    arrives.
     """
-    head = first if first else readable.read(1)
+    head = readable.read(1)
     if not head:
         raise ConnectionError("connection closed before a frame arrived")
-    rest = _read_exact(readable, PREFIX_SIZE - len(head))
-    prefix = head + rest
+    prefix = head + _read_exact(readable, PREFIX_SIZE - 1)
     _, length = parse_prefix(prefix)
     return prefix + _read_exact(readable, length + 5)
 

@@ -1,25 +1,23 @@
-"""The estimation service's wire protocol.
+"""The estimation service's messages: requests, replies, typed errors.
 
-One request or response per line, each a single JSON object (JSON
-lines): a client writes ``{"v": 1, "id": 7, "op": "estimate",
-"deadline_s": 5.0, "payload": {...}}\\n`` and reads back ``{"v": 1,
-"id": 7, "ok": true, "payload": {...}}\\n`` or ``{"v": 1, "id": 7,
-"ok": false, "error": {"type": "overloaded", ...}}\\n``.  Responses on
-a pipelined connection may arrive out of order; the ``id`` field is the
-correlation key.
-
-Numeric fidelity matters here: tradeoff curves round-trip through JSON
-bit-exactly, because Python serializes floats with ``repr`` (shortest
-round-trip representation) and parses them back to the identical IEEE-754
-double.  That property is what lets a :class:`~repro.service.client.
-RemoteEstimator`-backed controller reproduce an in-process run exactly.
+A request is a dict such as ``{"v": 1, "id": 7, "op": "estimate",
+"deadline_s": 5.0, "payload": {...}}``; its reply is ``{"v": 1, "id":
+7, "ok": true, "payload": {...}}`` or ``{"v": 1, "id": 7, "ok": false,
+"error": {"type": "overloaded", ...}}``.  Each travels as one binary
+frame (:mod:`repro.service.frames`), which carries every float64
+bit-exactly; that is what lets a :class:`~repro.service.client.
+RemoteEstimator`-backed controller reproduce an in-process run
+exactly.  Replies on a pipelined connection may arrive out of order;
+the ``id`` field is the correlation key.
 
 Float arrays stay float64 ``ndarray`` objects in a payload
-(:func:`encode_array`).  The binary wire (protocol v2,
-:mod:`repro.service.frames`) carries each as one raw block; this
-module's JSON lines print it as nested lists, byte for byte what a list
-payload prints.  The coalescing key (:func:`fingerprint`) hashes an
-array's shape and bytes instead of printing its floats.
+(:func:`encode_array`); a frame carries each as one raw block.  The
+coalescing key (:func:`fingerprint`) hashes an array's shape and bytes
+instead of printing its floats.
+
+:func:`encode_frame` and :func:`decode_frame` are not a transport: they
+turn a dict into one line of JSON text and back.  ``repro request``
+parses its ``--payload`` with one and prints its reply with the other.
 
 Error types are part of the protocol: each :class:`ServiceError`
 subclass owns a wire-level ``code``, the server serializes the code and
@@ -64,8 +62,8 @@ __all__ = [
     "fingerprint",
 ]
 
-#: Version stamped on every frame; a server rejects frames from the
-#: future rather than misinterpreting them.
+#: Version stamped in every message body (``"v"``); a server rejects
+#: messages from the future rather than misinterpreting them.
 PROTOCOL_VERSION = 1
 
 
@@ -107,23 +105,27 @@ def exception_for(code: str, message: str,
 
 
 # ----------------------------------------------------------------------
-# Frames
+# JSON text
 # ----------------------------------------------------------------------
 def encode_frame(obj: Dict[str, Any]) -> bytes:
-    """One JSON-lines frame (compact separators, trailing newline)."""
+    """A message dict as one line of JSON text (compact separators,
+    trailing newline), arrays printed as the nested lists ``tolist``
+    gives; ``repro request`` prints replies with it."""
     return (json.dumps(obj, separators=(",", ":"), default=_jsonable)
             + "\n").encode("utf-8")
 
 
 def decode_frame(line: bytes) -> Dict[str, Any]:
-    """Parse one frame; raises :class:`ProtocolError` on malformed input."""
+    """Parse JSON text into a message dict; raises
+    :class:`ProtocolError` on malformed input or a non-object
+    (``repro request`` parses ``--payload`` with it)."""
     try:
         obj = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"unparseable frame: {exc}") from exc
+        raise ProtocolError(f"unparseable JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(
-            f"frame must be a JSON object, got {type(obj).__name__}")
+            f"expected a JSON object, got {type(obj).__name__}")
     return obj
 
 
@@ -319,9 +321,9 @@ class ServiceAddress:
 def encode_array(array: Any) -> np.ndarray:
     """A float array for a payload: a float64 copy of ``array``.
 
-    The copy keeps a payload from aliasing the caller's arrays.  Binary
-    frames carry it as one raw block; :func:`encode_frame` prints it as
-    the nested lists ``tolist`` gives, exact for IEEE doubles.
+    The copy keeps a payload from aliasing the caller's arrays.  A frame
+    carries it as one raw block; :func:`encode_frame` prints it as the
+    nested lists ``tolist`` gives, exact for IEEE doubles.
     """
     return np.array(array, dtype=np.float64)
 
@@ -380,9 +382,9 @@ def fingerprint(op: str, payload: Dict[str, Any]) -> str:
     requests with the same fingerprint are guaranteed to produce the
     same result, so the broker runs one fit and fans the answer out.
 
-    Keys depend on the encoding: an array and an equal list hash
-    differently, so identical requests coalesce when they arrive on the
-    same wire.
+    An array and an equal list hash differently, so a request typed in
+    with ``repro request --payload`` (whose arrays are lists) does not
+    coalesce with the same request sent with arrays.
     """
     arrays: List[np.ndarray] = []
 

@@ -5,10 +5,11 @@ Three layers, separable for testing:
 * :class:`EstimationService` — the synchronous operation handlers
   (``estimate``, ``optimize``, ``calibrate-report``, ...), callable
   directly without any networking.
-* :class:`ServiceServer` — the asyncio broker: accepts JSON-lines
-  connections, **admits** requests against a bounded budget (shedding
-  the excess with a typed :class:`~repro.service.protocol.
-  ServiceOverloaded` instead of queueing unboundedly), **coalesces**
+* :class:`ServiceServer` — the asyncio broker: reads binary frames
+  (:mod:`repro.service.frames`), **admits** requests against a bounded
+  budget (shedding the excess with a typed
+  :class:`~repro.service.protocol.ServiceOverloaded` instead of
+  queueing unboundedly), **coalesces**
   identical concurrent fits into one execution (tenants asking for the
   same curve share one EM run — the fit itself already batches its
   E-step across applications, so one execution serves the whole prior
@@ -80,9 +81,7 @@ from repro.service.protocol import (
     ServiceAddress,
     ServiceError,
     ServiceOverloaded,
-    decode_frame,
     encode_array,
-    encode_frame,
     fingerprint,
     problem_from_payload,
 )
@@ -163,8 +162,8 @@ class EstimationService:
     def _op_estimate(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Run one estimator on a submitted problem.
 
-        The curve travels as a float64 array, bit-exact on either wire
-        (see :mod:`repro.service.protocol`), so a remote caller
+        The curve travels as a float64 array, bit-exact on the wire
+        (see :mod:`repro.service.frames`), so a remote caller
         reproduces an in-process fit to the last bit.
         """
         name = payload.get("estimator", self.default_estimator)
@@ -295,25 +294,17 @@ class ServiceServer:
             creates a private recording :class:`MetricsRegistry` (the
             ``metrics`` op should always have something to report) and
             no tracer.  A recording tracer enables per-request spans.
-        accept_binary: Whether protocol-v2 binary frames are served.
-            ``False`` emulates a pre-binary broker — a binary frame is
-            answered with a JSON-lines :class:`ProtocolError` and the
-            connection closed — which is what the client's ``auto``
-            negotiation probes against (see
-            :class:`repro.service.client.ServiceClient`).
 
-    Each connection may interleave JSON-lines (protocol v1) and binary
-    (v2) frames; the broker sniffs the first byte of every frame
-    (``0xAB`` is not ``{``) and answers in the encoding the request
-    arrived in, so a mixed fleet of old and new clients shares one
-    port.
+    Every request and reply is one binary frame.  A connection whose
+    bytes stop being frames — a first byte other than the frame magic,
+    a mangled prefix, a stream cut mid-frame — gets one typed
+    ``frame-error`` reply and is closed.
     """
 
     def __init__(self, service: EstimationService, address: ServiceAddress,
                  max_pending: int = 8, default_deadline_s: float = 30.0,
                  max_workers: Optional[int] = None,
-                 observability: Optional[Observability] = None,
-                 accept_binary: bool = True) -> None:
+                 observability: Optional[Observability] = None) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if default_deadline_s <= 0:
@@ -323,7 +314,6 @@ class ServiceServer:
         self.address = address
         self.max_pending = max_pending
         self.default_deadline_s = default_deadline_s
-        self.accept_binary = accept_binary
         self.max_workers = (max_workers if max_workers is not None
                             else min(os.cpu_count() or 1, 8))
         if observability is None:
@@ -371,9 +361,10 @@ class ServiceServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_workers,
             thread_name_prefix="repro-service")
-        # A JSON line may be as long as a binary frame: the default
-        # 64 KiB StreamReader limit is shorter than one paper-space
-        # estimate request.
+        # Every read is readexactly, so ``limit`` bounds no read; it
+        # sets the buffered size (twice the limit) at which the reader
+        # pauses the socket, and a paper-space estimate frame is far
+        # larger than the default 64 KiB.
         if self.address.path is not None:
             server = await asyncio.start_unix_server(
                 self._on_connection, path=self.address.path,
@@ -415,39 +406,21 @@ class ServiceServer:
                     first = await reader.read(1)
                     if not first:
                         break
-                    if first == MAGIC:
-                        if not self.accept_binary:
-                            # Emulate a pre-binary broker: a typed JSON
-                            # protocol error, then hang up so the probe
-                            # fails over cleanly.
-                            self.metrics.inc("service_protocol_errors_total")
-                            await self._send(writer, Response.failure(
-                                None, ProtocolError(
-                                    "binary frames are not accepted by "
-                                    "this server; use JSON-lines "
-                                    "protocol v1")), binary=False)
-                            break
-                        frame, binary = await self._read_binary(reader,
-                                                                first)
-                    else:
-                        frame = first + await _read_line(reader)
-                        binary = False
-                except ProtocolError as exc:
-                    # A mangled binary prefix or an over-long JSON line
-                    # poisons the whole byte stream — answer typed, in
-                    # the encoding the frame began in, then hang up
+                    frame = await _read_frame(reader, first)
+                except FrameError as exc:
+                    # A non-frame byte or a mangled prefix poisons the
+                    # whole byte stream: answer typed, then hang up
                     # rather than guess at resynchronisation.
                     self.metrics.inc("service_protocol_errors_total")
-                    await self._send(writer, Response.failure(None, exc),
-                                     binary=first == MAGIC)
+                    await self._send(writer, Response.failure(None, exc))
                     break
-                except (ConnectionError, OSError, asyncio.IncompleteReadError):
+                except (ConnectionError, OSError):
                     break
                 # One task per frame: pipelined requests on a single
                 # connection proceed concurrently, so a slow fit does
                 # not head-of-line-block a later ping.
                 task = asyncio.ensure_future(
-                    self._handle_line(frame, writer, binary))
+                    self._handle_frame(frame, writer))
                 pending.add(task)
                 task.add_done_callback(pending.discard)
         finally:
@@ -455,54 +428,34 @@ class ServiceServer:
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _read_binary(self, reader: asyncio.StreamReader,
-                           first: bytes) -> "tuple":
-        """Read the remainder of one binary frame after its magic byte."""
-        try:
-            prefix = first + await reader.readexactly(PREFIX_SIZE - 1)
-            _, length = parse_prefix(prefix)
-            body = await reader.readexactly(length + 5)
-        except asyncio.IncompleteReadError as exc:
-            raise FrameError(
-                f"truncated binary frame: connection closed after "
-                f"{len(exc.partial)} bytes") from exc
-        self.metrics.inc("service_binary_frames_total")
-        return prefix + body, True
-
     # -- request handling -----------------------------------------------
-    async def _handle_line(self, line: bytes,
-                           writer: asyncio.StreamWriter,
-                           binary: bool = False) -> None:
+    async def _handle_frame(self, frame: bytes,
+                            writer: asyncio.StreamWriter) -> None:
         received = self._loop.time()
         try:
-            wire = decode_binary_frame(line) if binary else decode_frame(line)
-            request = Request.from_wire(wire)
+            request = Request.from_wire(decode_binary_frame(frame))
         except ProtocolError as exc:
             self.metrics.inc("service_protocol_errors_total")
-            await self._send(writer, Response.failure(None, exc),
-                             binary=binary)
+            await self._send(writer, Response.failure(None, exc))
             return
         self.metrics.inc("service_requests_total")
         try:
-            await self._handle_request(request, writer, received, binary)
+            await self._handle_request(request, writer, received)
         except Exception as exc:  # last-resort: never drop a response
             logger.exception("unhandled broker failure")
             await self._send(writer,
                              Response.failure(request.request_id,
-                                              map_exception(exc)),
-                             binary=binary)
+                                              map_exception(exc)))
 
     async def _handle_request(self, request: Request,
                               writer: asyncio.StreamWriter,
-                              received: float,
-                              binary: bool = False) -> None:
+                              received: float) -> None:
         ctx = (TraceContext.from_wire(request.trace)
                if request.trace is not None else None)
         trace_id = ctx.trace_id if ctx is not None else None
         if request.op == "shutdown":
             await self._send(writer, Response.success(request.request_id,
-                                                      {"stopping": True}),
-                             binary=binary)
+                                                      {"stopping": True}))
             # Let the response drain before tearing the transport down.
             self._loop.call_later(0.05, self._stop.set)
             return
@@ -510,11 +463,11 @@ class ServiceServer:
             try:
                 payload = self._inline(request)
                 await self._send(writer, Response.success(
-                    request.request_id, payload), binary=binary)
+                    request.request_id, payload))
             except Exception as exc:
                 await self._send(writer, Response.failure(
                     request.request_id, map_exception(exc),
-                    trace_id=trace_id), binary=binary)
+                    trace_id=trace_id))
             return
 
         # Coalescing first: a request identical to an in-flight one adds
@@ -538,8 +491,7 @@ class ServiceServer:
                     details={"max_pending": self.max_pending})
                 await self._send(writer,
                                  Response.failure(request.request_id, exc,
-                                                  trace_id=trace_id),
-                                 binary=binary)
+                                                  trace_id=trace_id))
                 return
             self._admitted += 1
             self.metrics.set_gauge("service_pending", self._admitted)
@@ -567,33 +519,28 @@ class ServiceServer:
                     f"deadline of {deadline:.3f}s exceeded for "
                     f"op {request.op!r}",
                     details={"deadline_s": deadline, "op": request.op}),
-                trace_id=trace_id), binary=binary)
+                trace_id=trace_id))
             return
         except Exception as exc:
             self.metrics.inc("service_errors_total")
             await self._send(writer, Response.failure(request.request_id,
                                                       map_exception(exc),
-                                                      trace_id=trace_id),
-                             binary=binary)
+                                                      trace_id=trace_id))
             return
         elapsed = self._loop.time() - received
         self.metrics.observe("service_request_seconds", elapsed)
         self.observability.slo.record_latency(elapsed)
         self.observability.slo.record_deadline(True)
         await self._send(writer,
-                         Response.success(request.request_id, payload),
-                         binary=binary)
+                         Response.success(request.request_id, payload))
 
     async def _send(self, writer: asyncio.StreamWriter,
-                    response: Response, binary: bool = False) -> None:
-        """Write one response frame, in the encoding the request used;
-        a vanished client is not an error."""
+                    response: Response) -> None:
+        """Write one response frame; a vanished client is not an error."""
         if writer.is_closing():
             return
         try:
-            wire = response.to_wire()
-            writer.write(encode_binary_frame(wire) if binary
-                         else encode_frame(wire))
+            writer.write(encode_binary_frame(response.to_wire()))
             await writer.drain()
         except (ConnectionError, RuntimeError, OSError):
             logger.debug("client went away before response delivery")
@@ -674,14 +621,25 @@ class ServiceServer:
                 self._request_spans.extend(spans)
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    """The rest of one JSON line; a line over the reader's limit raises
-    :class:`ProtocolError` (asyncio reports it as a bare ValueError)."""
+async def _read_frame(reader: asyncio.StreamReader, first: bytes) -> bytes:
+    """The whole frame that starts with the byte ``first``.
+
+    The magic byte is checked before anything else is read, so a peer
+    that sends something other than a frame gets its :class:`FrameError`
+    at once instead of waiting on a prefix that may never complete.
+    """
+    if first != MAGIC:
+        raise FrameError(f"bad frame magic 0x{first[0]:02x}: this "
+                         f"service reads only binary frames")
     try:
-        return await reader.readline()
-    except ValueError as exc:
-        raise ProtocolError(f"JSON line exceeds the {MAX_FRAME_BYTES}-"
-                            f"byte bound: {exc}") from exc
+        prefix = first + await reader.readexactly(PREFIX_SIZE - 1)
+        _, length = parse_prefix(prefix)
+        body = await reader.readexactly(length + 5)
+    except asyncio.IncompleteReadError as exc:
+        raise FrameError(
+            f"truncated frame: connection closed with "
+            f"{exc.expected - len(exc.partial)} bytes outstanding") from exc
+    return prefix + body
 
 
 def _observe_exception(task: "asyncio.Future") -> None:

@@ -11,16 +11,15 @@ written against one broker) drops onto a fleet unchanged::
         curve = remote.estimate(problem)   # bit-equal to local execution
 
 Per call: the tenant key consistent-hashes to its owning shard
-(:class:`~repro.shard.router.ShardRouter`), the pooled connection for
-that shard is reused (one :class:`ServiceClient` per shard, created on
-first use, kept across calls), and the wire is whatever that client
-negotiated — binary against this repo's fleet, JSON against a legacy
-broker.  Estimate requests carry their float data as float64 arrays
+(:class:`~repro.shard.router.ShardRouter`), and the pooled connection
+for that shard is reused (one :class:`ServiceClient` per shard, created
+on first use, kept across calls).  Estimate requests carry their float
+data as float64 arrays
 (:func:`~repro.service.protocol.problem_to_payload`), one raw block
-each on the binary wire; so on that wire the array fields of a raw
+each in a binary frame, and the array fields of a raw
 :meth:`~ShardedServiceClient.call` or
 :meth:`~ShardedServiceClient.call_shard` reply (``rates``, ``powers``,
-``estimate``) are float64 ndarrays, where JSON lines give lists.
+``estimate``) are float64 ndarrays.
 
 Failure semantics: a transport failure that survives the inner
 client's own retries counts against the shard's health; at the
@@ -73,8 +72,6 @@ class ShardedServiceClient:
         router: Shared :class:`ShardRouter`; ``None`` builds a private
             one over ``addresses``' keys.  Pass a shared router when
             several clients should agree on health state.
-        wire: Wire mode for the pooled clients (default ``"auto"``:
-            binary against this repo's fleet, JSON fallback).
         jitter_seed: Base seed for the pooled clients' backoff jitter.
             Each shard's client gets a seed derived from this and its
             shard id, so retry timing is deterministic per shard yet
@@ -88,7 +85,6 @@ class ShardedServiceClient:
     def __init__(self, addresses: Dict[str, ServiceAddress],
                  tenant_key: str = "default",
                  router: Optional[ShardRouter] = None,
-                 wire: str = "auto",
                  jitter_seed: Optional[int] = None,
                  **client_kwargs: Any) -> None:
         if not addresses:
@@ -101,7 +97,6 @@ class ShardedServiceClient:
             if shard_id not in self.addresses:
                 raise ValueError(f"router shard {shard_id!r} has no "
                                  f"address")
-        self.wire = wire
         self.jitter_seed = jitter_seed
         self._client_kwargs = dict(client_kwargs)
         self._pool: Dict[str, ServiceClient] = {}
@@ -115,8 +110,7 @@ class ShardedServiceClient:
             if self.jitter_seed is not None and "jitter_seed" not in kwargs:
                 kwargs["jitter_seed"] = stable_seed(
                     "shard-jitter", self.jitter_seed, shard_id)
-            client = ServiceClient(self.addresses[shard_id],
-                                   wire=self.wire, **kwargs)
+            client = ServiceClient(self.addresses[shard_id], **kwargs)
             self._pool[shard_id] = client
         return client
 

@@ -49,8 +49,6 @@ class ShardFleet:
             :class:`RegistryReplica`).
         max_pending: Per-shard admission budget.
         max_workers: Per-shard handler threads.
-        accept_binary: Whether the shards speak protocol v2 (used by
-            negotiation tests to raise an all-JSON fleet).
         server_kwargs: Extra :class:`ServiceServer` arguments applied
             to every shard.
     """
@@ -61,7 +59,6 @@ class ShardFleet:
                  staleness_s: float = 1.0,
                  max_pending: int = 32,
                  max_workers: int = 2,
-                 accept_binary: bool = True,
                  **server_kwargs: Any) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -94,7 +91,7 @@ class ShardFleet:
                 service,
                 ServiceAddress(host="127.0.0.1", port=0),
                 max_pending=max_pending, max_workers=max_workers,
-                accept_binary=accept_binary, **server_kwargs)
+                **server_kwargs)
         self._started = False
 
     # -- lifecycle ------------------------------------------------------

@@ -1,8 +1,17 @@
 """Tests for the command-line interface."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.service import (
+    EstimationService,
+    ServerThread,
+    ServiceAddress,
+    ServiceClient,
+)
 
 
 class TestListAndShow:
@@ -129,3 +138,33 @@ class TestSoakCommand:
     def test_bad_horizon_rejected(self, capsys):
         assert main(["soak", "--horizon", "soon"]) == 1
         assert "horizon" in capsys.readouterr().err
+
+
+class TestRequestCommand:
+    @pytest.fixture()
+    def address(self):
+        with ServerThread(EstimationService(), max_workers=1) as thread:
+            yield str(thread.bound_address)
+
+    def test_reply_is_one_json_line_bit_equal_to_a_client(self, address,
+                                                          capsys):
+        payload = {"app": "kmeans", "space": "cores", "samples": 6,
+                   "estimator": "offline"}
+        assert main(["request", address, "calibrate-report",
+                     "--payload", json.dumps(payload)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        printed = json.loads(out)
+        assert printed["ok"] is True
+        with ServiceClient(ServiceAddress.parse(address)) as client:
+            direct = client.call("calibrate-report", payload)
+        for key in ("rates", "powers"):
+            assert (np.asarray(printed["payload"][key]).tobytes()
+                    == direct[key].tobytes())
+
+    def test_non_object_payload_is_a_typed_error(self, address, capsys):
+        assert main(["request", address, "ping", "--payload", "[1]"]) == 1
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["ok"] is False
+        assert printed["error"]["type"] == "protocol-error"
+        assert "JSON object" in printed["error"]["message"]

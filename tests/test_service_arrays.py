@@ -1,12 +1,12 @@
 """Float arrays on the service wire: one block each, bit-exact both ways.
 
 Payload arrays stay float64 ``ndarray`` objects from the caller to the
-handler and back (``encode_array``).  The binary wire carries each as
-one raw block, the JSON-lines wire prints it exactly as the equal
-nested list, and the coalescing key hashes its shape and bytes.  A
-paper-scale request (1024 configurations, a 24-application prior) is
-the case that matters: its JSON line is several hundred KB, far over
-asyncio's default 64 KiB line limit.
+handler and back (``encode_array``).  A frame carries each as one raw
+block, the JSON text ``repro request`` prints shows it exactly as the
+equal nested list, and the coalescing key hashes its shape and bytes.
+A paper-scale request (1024 configurations, a 24-application prior) is
+the case that matters: its frame is about 230 KB, far over asyncio's
+default 64 KiB stream limit.
 """
 
 import socket
@@ -18,16 +18,18 @@ import pytest
 from repro.estimators.base import EstimationProblem
 from repro.estimators.registry import create_estimator
 from repro.service import EstimationService, ServerThread, ServiceClient
-from repro.service import server as server_module
 from repro.service.frames import (
+    BINARY_PROTOCOL_VERSION,
+    MAGIC,
+    MAX_FRAME_BYTES,
     FrameError,
     decode_binary_frame,
     encode_binary_frame,
+    read_binary_frame,
 )
 from repro.service.protocol import (
     _ARRAY_MARK,
     Request,
-    decode_frame,
     encode_array,
     encode_frame,
     fingerprint,
@@ -105,8 +107,8 @@ class TestArrayPayloads:
             assert struct.pack("=d", _special(name)) in raw, name
 
     def test_json_frame_bytes_equal_the_list_payload(self):
-        """Protocol v1 is unchanged: an array payload prints exactly
-        what the equal nested-list payload printed."""
+        """The JSON text ``repro request`` prints: an array payload
+        prints exactly what the equal nested-list payload prints."""
         problem = _paper_problem(seed=4)
 
         def as_list(array):
@@ -211,35 +213,35 @@ class TestArrayFingerprint:
 
 
 class TestPaperScaleOverTheWire:
-    def test_json_estimate_matches_binary_and_in_process(self):
+    def test_estimate_matches_in_process(self):
         problem = _paper_problem(seed=7)
         local = create_estimator("offline").estimate(problem)
         with ServerThread(EstimationService(), max_pending=4,
                           max_workers=1) as thread:
-            for wire in ("json", "binary"):
+            # wire="auto" is the benchmark's spelling of the one wire.
+            for options in ({}, {"wire": "auto"}):
                 with ServiceClient(thread.bound_address, timeout=60.0,
-                                   wire=wire) as client:
+                                   **options) as client:
                     remote = client.estimate(problem, estimator="offline")
-                assert _bits(remote) == _bits(local), wire
+                assert _bits(remote) == _bits(local), options
 
-    def test_over_bound_line_gets_a_typed_error(self, monkeypatch):
-        monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", 4096)
-        payload = {"echo": "x" * 6000}
-        line = encode_frame(Request(op="ping", payload=payload,
-                                    request_id=1).to_wire())
+    def test_over_bound_line_gets_a_typed_error(self):
+        # A frame prefix whose LENGTH is over the bound: the broker must
+        # answer without reading (or allocating) the announced body.
+        prefix = (MAGIC + bytes((BINARY_PROTOCOL_VERSION, 0))
+                  + struct.pack(">I", MAX_FRAME_BYTES + 1))
         with ServerThread(EstimationService()) as thread:
             address = thread.bound_address
             with socket.create_connection((address.host, address.port),
                                           timeout=10.0) as sock:
-                sock.sendall(line)
+                sock.sendall(prefix)
                 reader = sock.makefile("rb")
-                reply = decode_frame(reader.readline())
+                reply = decode_binary_frame(read_binary_frame(reader))
                 assert reader.read() == b""  # then the server hangs up
             assert reply["ok"] is False and reply["id"] is None
-            assert reply["error"]["type"] == "protocol-error"
-            assert "4096-byte bound" in reply["error"]["message"]
-            # The broker keeps serving other connections, and lines
-            # under the bound on the same port.
+            assert reply["error"]["type"] == "frame-error"
+            assert f"{MAX_FRAME_BYTES}-byte bound" in reply["error"]["message"]
+            # The broker keeps serving other connections.
             with ServiceClient(address, timeout=10.0) as client:
                 assert client.ping(echo="y" * 100)["echo"] == "y" * 100
                 counters = client.metrics()["metrics"]["counters"]

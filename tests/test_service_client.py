@@ -1,6 +1,5 @@
 """Tests for repro.service.client (retries, deadlines, RemoteEstimator)."""
 
-import json
 import random
 import socket
 import threading
@@ -13,6 +12,7 @@ from repro.estimators.base import EstimationProblem, InsufficientSamplesError
 from repro.service import (
     DeadlineExceeded,
     EstimationService,
+    FrameError,
     RemoteEstimator,
     ServerThread,
     ServiceAddress,
@@ -20,7 +20,26 @@ from repro.service import (
     ServiceOverloaded,
 )
 from repro.service.client import DEADLINE_GRACE_S
-from repro.service.protocol import encode_frame
+from repro.service.frames import (
+    decode_binary_frame,
+    encode_binary_frame,
+    read_binary_frame,
+)
+
+
+def _requests(conn):
+    """Yield each request frame a connection sends, until it closes."""
+    reader = conn.makefile("rb")
+    while True:
+        try:
+            yield decode_binary_frame(read_binary_frame(reader))
+        except ConnectionError:
+            return
+
+
+def _pong(frame):
+    return {"v": 1, "id": frame.get("id"), "ok": True,
+            "payload": {"pong": True, "echo": None}}
 
 
 class _FlakyServer:
@@ -29,7 +48,9 @@ class _FlakyServer:
     Each element of ``script`` handles one connection: ``"drop"`` closes
     it immediately, ``"overloaded"`` answers every request with a shed,
     ``"overloaded-once"`` sheds the first request then answers normally,
-    ``"ok"`` answers every request with a successful pong.
+    ``"corrupt-once"`` answers the first request with a frame whose
+    version byte is 9 then answers normally, ``"ok"`` answers every
+    request with a successful pong.
     """
 
     def __init__(self, script):
@@ -52,10 +73,9 @@ class _FlakyServer:
                 conn.close()
                 continue
             with conn:
-                reader = conn.makefile("rb")
                 shed_remaining = 1 if behaviour == "overloaded-once" else 0
-                for line in reader:
-                    frame = json.loads(line)
+                corrupt_remaining = 1 if behaviour == "corrupt-once" else 0
+                for frame in _requests(conn):
                     if behaviour == "overloaded" or shed_remaining:
                         shed_remaining = max(0, shed_remaining - 1)
                         reply = {"v": 1, "id": frame.get("id"), "ok": False,
@@ -63,9 +83,12 @@ class _FlakyServer:
                                            "message": "full",
                                            "details": {}}}
                     else:
-                        reply = {"v": 1, "id": frame.get("id"), "ok": True,
-                                 "payload": {"pong": True, "echo": None}}
-                    conn.sendall(encode_frame(reply))
+                        reply = _pong(frame)
+                    data = encode_binary_frame(reply)
+                    if corrupt_remaining:
+                        corrupt_remaining = 0
+                        data = data[:1] + b"\x09" + data[2:]
+                    conn.sendall(data)
 
     def close(self):
         self._sock.close()
@@ -124,6 +147,22 @@ class TestRetries:
             ServiceClient(addr, retries=-1)
         with pytest.raises(ValueError):
             ServiceClient(addr, backoff=-0.1)
+        with pytest.raises(ValueError, match="JSON-lines wire was removed"):
+            ServiceClient(addr, wire="json")
+
+    def test_corrupt_reply_drops_the_connection(self):
+        # The rest of the bad frame must not be read as the start of the
+        # next reply: the next call reconnects and succeeds.
+        server = _FlakyServer(["corrupt-once", "ok"])
+        try:
+            client = ServiceClient(server.address, retries=0)
+            with pytest.raises(FrameError, match="version 9"):
+                client.ping()
+            assert client.ping()["pong"] is True
+            assert server.connections == 2
+            client.close()
+        finally:
+            server.close()
 
     def test_unreachable_address_raises_after_retries(self):
         # A closed port: connect() fails fast with ECONNREFUSED.
@@ -160,12 +199,9 @@ class _DeadlineRecordingServer:
                 conn.close()
                 continue
             with conn:
-                for line in conn.makefile("rb"):
-                    frame = json.loads(line)
+                for frame in _requests(conn):
                     self.deadlines.append(frame.get("deadline_s"))
-                    conn.sendall(encode_frame(
-                        {"v": 1, "id": frame.get("id"), "ok": True,
-                         "payload": {"pong": True, "echo": None}}))
+                    conn.sendall(encode_binary_frame(_pong(frame)))
 
     def close(self):
         self._sock.close()

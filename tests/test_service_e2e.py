@@ -114,5 +114,6 @@ class TestWarmStartAcrossTenants:
         assert warm["samples_used"] == 0
         # Identical curves, bit for bit — the registry serves exactly
         # what was published.
-        assert warm["rates"] == cold["rates"]
-        assert warm["powers"] == cold["powers"]
+        for key in ("rates", "powers"):
+            assert (np.asarray(warm[key]).tobytes()
+                    == np.asarray(cold[key]).tobytes())

@@ -1,9 +1,8 @@
-"""Property tests for the binary wire codec (protocol v2).
+"""Property tests for the service's one wire: binary frames (protocol v2).
 
 The codec's whole reason to exist is bit-exactness: every float64 —
 subnormals, NaN payloads, ``-0.0``, ``±inf`` — must survive a frame
-round trip with its exact bit pattern, something the JSON wire only
-achieves for the values JSON can spell.  Hypothesis drives the value
+round trip with its exact bit pattern.  Hypothesis drives the value
 universe; ``struct.pack('>d')`` is the bit-level oracle.  The negative
 half of the contract matters just as much: every way a frame can be
 damaged — truncation, bit flips, bad magic, future versions, trailing
@@ -205,12 +204,13 @@ class TestRejection:
         with pytest.raises(FrameError, match="keys must be str"):
             encode_binary_frame({"x": {1: 2}})
 
-    def test_terminator_keeps_v1_readline_alive(self):
-        # The escape hatch behind wire negotiation: a JSON-lines peer
-        # doing readline() on any binary frame must terminate.
+    def test_missing_terminator_raises(self):
+        # The bit-flip property stops before the last byte; TERM is
+        # checked on its own.
         frame = self._frame()
         assert frame.endswith(b"\n")
-        assert io.BytesIO(frame).readline() != b""
+        with pytest.raises(FrameError, match="terminator"):
+            decode_binary_frame(frame[:-1] + b"\x00")
 
 
 class TestStreamReads:
@@ -219,11 +219,6 @@ class TestStreamReads:
         stream = io.BytesIO(frame + b"extra")
         assert read_binary_frame(stream) == frame
         assert stream.read() == b"extra"
-
-    def test_sniffed_first_byte(self):
-        frame = encode_binary_frame({"op": "ping"})
-        stream = io.BytesIO(frame[1:])
-        assert read_binary_frame(stream, first=frame[:1]) == frame
 
     def test_clean_eof_is_connection_error(self):
         with pytest.raises(ConnectionError):

@@ -23,7 +23,8 @@ from repro.service import (
     ServiceClient,
     ServiceOverloaded,
 )
-from repro.service.protocol import Request, decode_frame, encode_frame
+from repro.service.frames import decode_binary_frame, read_binary_frame
+from repro.service.protocol import Request
 
 
 @pytest.fixture()
@@ -87,13 +88,17 @@ class TestBasicOps:
         assert snapshot["admission"]["max_pending"] == 2
 
     def test_malformed_frame_gets_protocol_error(self, server):
+        # Three bytes, shorter than a frame prefix: the magic byte is
+        # checked on arrival, so the reply cannot wait for more.
         sock = server.bound_address.connect(timeout=10.0)
         try:
-            sock.sendall(b"this is not json\n")
-            line = sock.makefile("rb").readline()
-            frame = decode_frame(line)
-            assert frame["ok"] is False
-            assert frame["error"]["type"] == "protocol-error"
+            sock.sendall(b"{}\n")
+            reader = sock.makefile("rb")
+            frame = decode_binary_frame(read_binary_frame(reader))
+            assert frame["ok"] is False and frame["id"] is None
+            assert frame["error"]["type"] == "frame-error"
+            assert "magic" in frame["error"]["message"]
+            assert reader.read() == b""  # then the broker hangs up
         finally:
             sock.close()
 
@@ -217,14 +222,13 @@ class TestDeadlines:
 
 
 class TestCoalescing:
-    @pytest.mark.parametrize("wire", ["json", "binary"])
-    def test_identical_estimates_share_one_fit(self, server, wire):
+    def test_identical_estimates_share_one_fit(self, server):
         address = server.bound_address
         problem = _problem(seed=9)
         results, errors = [], []
 
         def fit():
-            with ServiceClient(address, timeout=60.0, wire=wire) as c:
+            with ServiceClient(address, timeout=60.0) as c:
                 try:
                     results.append(c.estimate(problem, estimator="leo",
                                               deadline_s=30.0))

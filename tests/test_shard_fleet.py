@@ -1,9 +1,8 @@
 """End-to-end tests for the shard fleet and the sharded client.
 
 The acceptance-shaped properties, at test scale: estimates through the
-fleet are bit-identical to local execution on either wire; wire
-negotiation degrades to JSON against a pre-binary fleet; a stopped
-broker sheds exactly its own tenants with the typed
+fleet are bit-identical to local execution; a stopped broker sheds
+exactly its own tenants with the typed
 :class:`ShardUnavailable`; and a model published through one shard
 warm-starts the same app on a *different* shard via registry
 replication.
@@ -12,7 +11,7 @@ replication.
 import numpy as np
 import pytest
 
-from repro.errors import ProtocolError, ShardUnavailable
+from repro.errors import ShardUnavailable
 from repro.estimators.base import EstimationProblem
 from repro.estimators.registry import create_estimator
 from repro.service import RemoteEstimator
@@ -52,14 +51,12 @@ class TestFleetCalls:
                                     tenant_key=f"tenant-{index}")
                 assert reply["pong"] is True and reply["echo"] == index
 
-    def test_estimate_bit_equal_to_local_on_both_wires(self, fleet):
+    def test_estimate_bit_equal_to_local(self, fleet):
         problem = _problem(seed=3)
         local = create_estimator("offline").estimate(problem)
-        for wire in ("json", "binary"):
-            with ShardedServiceClient(fleet.addresses,
-                                      wire=wire) as client:
-                remote = client.estimate(problem, estimator="offline")
-            assert np.array_equal(remote, local), wire
+        with ShardedServiceClient(fleet.addresses) as client:
+            remote = client.estimate(problem, estimator="offline")
+        assert remote.tobytes() == local.tobytes()
 
     def test_remote_estimator_drops_onto_the_fleet(self, fleet):
         problem = _problem(seed=5)
@@ -78,31 +75,6 @@ class TestFleetCalls:
             shard["metrics"]["counters"].get("service_requests_total", 0)
             for shard in fleet_metrics.values())
         assert total >= 1
-
-    def test_auto_negotiation_lands_on_binary(self, fleet):
-        with ShardedServiceClient(fleet.addresses, wire="auto") as client:
-            client.ping(tenant_key="nego")
-            shard_id = client.router.route("nego")
-            assert client.client_for(shard_id).wire_mode == "binary"
-
-
-class TestLegacyFleet:
-    def test_auto_downgrades_against_a_json_only_fleet(self):
-        with ShardFleet(num_shards=2, replicas_per_shard=0,
-                        accept_binary=False) as fleet:
-            with ShardedServiceClient(fleet.addresses,
-                                      wire="auto") as client:
-                assert client.ping(tenant_key="t")["pong"] is True
-                shard_id = client.router.route("t")
-                assert client.client_for(shard_id).wire_mode == "json"
-
-    def test_forced_binary_is_rejected_with_a_typed_error(self):
-        with ShardFleet(num_shards=1, replicas_per_shard=0,
-                        accept_binary=False) as fleet:
-            with ShardedServiceClient(fleet.addresses, wire="binary",
-                                      retries=0) as client:
-                with pytest.raises((ProtocolError, ShardUnavailable)):
-                    client.ping(tenant_key="t")
 
 
 class TestShardLoss:
