@@ -46,8 +46,6 @@ BENCH_DIR = Path(__file__).resolve().parent
 KEY_COUNTERS = (
     "linalg_posterior_factorizations_total",
     "em_iterations_total",
-    "harness_cells_completed_total",
-    "harness_worker_cells_total",
 )
 
 #: The smoke gates, in rough order of usefulness when time is short.
@@ -122,8 +120,7 @@ def shard_timings() -> dict:
     )
 
     result = sharded_throughput_experiment(
-        shards=2, clients=2, requests_per_client=50, tenants=8,
-        workers=2)
+        shards=2, clients=2, requests_per_client=50, tenants=8)
     return {
         "requests": result.completed,
         "requests_per_second": round(result.requests_per_second, 1),

@@ -7,12 +7,9 @@ for it once; the ``benchmark`` fixture times a representative kernel of
 each experiment.
 
 Scale with ``REPRO_BENCH_SCALE`` (default 1.0): trials, utilization-grid
-density and benchmark counts shrink or grow proportionally.  Set
-``REPRO_WORKERS=N`` to fan the sweep-shaped experiments (figures 5/6,
-10/11, 12) across N processes — results are identical for any worker
-count (see docs/PARALLELISM.md).  Results are printed as aligned tables
-(run pytest with ``-s`` to see them) and saved as JSON under
-``benchmarks/results/``.
+density and benchmark counts shrink or grow proportionally.  Results
+are printed as aligned tables (run pytest with ``-s`` to see them) and
+saved as JSON under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -69,8 +66,7 @@ def cores_ctx():
 def accuracy_result(full_ctx):
     """Figures 5 and 6: accuracy across all 25 benchmarks."""
     return accuracy_experiment(full_ctx, sample_count=20,
-                               trials=scaled(3),
-                               workers=harness.default_workers())
+                               trials=scaled(3))
 
 
 @pytest.fixture(scope="session")
@@ -83,8 +79,7 @@ def examples_result(full_ctx):
 def energy_curves(full_ctx):
     """Figures 10 and 11: energy sweep for all 25 benchmarks."""
     return energy_experiment(full_ctx,
-                             num_utilizations=scaled(15, minimum=4),
-                             workers=harness.default_workers())
+                             num_utilizations=scaled(15, minimum=4))
 
 
 @pytest.fixture(scope="session")
@@ -93,7 +88,7 @@ def sensitivity_result(full_ctx):
     names = full_ctx.benchmark_names[:scaled(25, minimum=5)]
     return sensitivity_experiment(
         full_ctx, sizes=(0, 2, 5, 10, 14, 15, 20, 30, 40),
-        benchmarks=names, workers=harness.default_workers())
+        benchmarks=names)
 
 
 @pytest.fixture(scope="session")

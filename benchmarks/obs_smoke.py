@@ -8,13 +8,13 @@ The gate behind docs/OBSERVABILITY.md's two core promises:
 
 * **Zero cost when off, zero interference when on** — the mini
   accuracy sweep (perf_smoke's shape) must produce bit-identical
-  results untraced and under a fully-recording bundle with two pool
-  workers.  Tracing draws no RNG and reorders no work, so any
-  divergence is a real instrumentation bug.
+  results untraced and under a fully-recording bundle.  Tracing draws
+  no RNG and reorders no work, so any divergence is a real
+  instrumentation bug.
 * **No span left behind** — the traced sweep plus one traced service
-  round trip must merge into a single orphan-free tree containing the
-  pool-worker and server-side shards, with worker counters aggregated
-  into the parent registry.
+  round trip must merge into a single orphan-free tree holding the
+  sweep's ``experiment.run`` root with its EM fits and the
+  server-side shard.
 
 Always writes ``trace.jsonl``, ``metrics.json`` and ``slo.json`` into
 the artifacts directory (default ``obs-artifacts/``), so a CI failure
@@ -54,7 +54,6 @@ from repro.service import (  # noqa: E402
 #: perf_smoke's mini-sweep shape, reused so the two gates time the same
 #: work.
 SWEEP = {"num_benchmarks": 3, "trials": 2, "sample_count": 20}
-WORKERS = 2
 
 
 def run_sweep(observability):
@@ -63,7 +62,7 @@ def run_sweep(observability):
     with use(observability):
         return accuracy_experiment(
             ctx, sample_count=SWEEP["sample_count"],
-            trials=SWEEP["trials"], benchmarks=names, workers=WORKERS)
+            trials=SWEEP["trials"], benchmarks=names)
 
 
 def traced_service_round_trip(observability):
@@ -111,26 +110,14 @@ def main() -> int:
             f"(first: {orphans[0]!r})")
 
     names = {span.name for span in merged}
-    for required in ("harness.parallel_map", "harness.cell",
+    for required in ("experiment.run", "em.fit",
                      "client.call", "service.request"):
         if required not in names:
             failures.append(f"span {required!r} missing from the merged "
                             "trace — a shard was dropped")
 
-    counters = ob.metrics.snapshot()["counters"]
-    cells = int(ob.metrics.snapshot()["gauges"].get(
-        "harness_cells_total", 0))
-    worker_cells = counters.get("harness_worker_cells_total", 0)
-    completed = counters.get("harness_cells_completed_total", 0)
-    if worker_cells != completed or worker_cells <= 0:
-        failures.append(
-            f"worker registries did not aggregate: "
-            f"{worker_cells:.0f} worker cells vs {completed:.0f} "
-            "completed in the parent")
-
     print(f"sweep x2 + service round trip: {elapsed:.2f}s, "
-          f"{len(merged)} merged spans, {cells} cells in the last map, "
-          f"{worker_cells:.0f} worker cells aggregated")
+          f"{len(merged)} merged spans")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

@@ -11,14 +11,11 @@ times the committed baseline.  The threshold is deliberately loose —
 CI machines are noisy and slower than dev boxes — so only a genuine
 algorithmic regression (e.g. losing the batched E-step) trips it.
 
-Two machine-independent guards ride along and use tight thresholds:
-
-* the Cholesky factorization count of the sweep
-  (``linalg_posterior_factorizations_total``) must not grow, which
-  catches regressions to per-application factorization that a fast
-  machine would hide;
-* with ``REPRO_WORKERS > 1`` the parallel sweep must agree with the
-  serial one exactly.
+A machine-independent guard rides along with a tight threshold: the
+Cholesky factorization count of the sweep
+(``linalg_posterior_factorizations_total``) must not grow, which
+catches regressions to per-application factorization that a fast
+machine would hide.
 
 Kept out of the ``test_*`` namespace on purpose: it is a CI gate, not a
 figure reproduction.
@@ -34,7 +31,6 @@ import time
 
 from repro.experiments.estimation import accuracy_experiment
 from repro.experiments.harness import default_context
-from repro.experiments.parallel import default_workers
 from repro.obs import Observability, use
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "perf_baseline.json"
@@ -43,20 +39,20 @@ BASELINE_PATH = pathlib.Path(__file__).parent / "perf_baseline.json"
 SWEEP = {"num_benchmarks": 3, "trials": 2, "sample_count": 20}
 
 
-def run_sweep(workers: int):
-    """Time the mini-sweep; returns (seconds, factorizations, result, ob)."""
+def run_sweep():
+    """Time the mini-sweep; returns (seconds, factorizations, ob)."""
     ctx = default_context(space_kind="paper", seed=0)
     names = ctx.benchmark_names[:SWEEP["num_benchmarks"]]
     ob = Observability.recording()
     started = time.perf_counter()
     with use(ob):
-        result = accuracy_experiment(
+        accuracy_experiment(
             ctx, sample_count=SWEEP["sample_count"], trials=SWEEP["trials"],
-            benchmarks=names, workers=workers)
+            benchmarks=names)
     elapsed = time.perf_counter() - started
     counters = ob.metrics.snapshot()["counters"]
     factorizations = counters.get("linalg_posterior_factorizations_total", 0)
-    return elapsed, factorizations, result, ob
+    return elapsed, factorizations, ob
 
 
 def dump_artifacts(ob, directory="obs-artifacts") -> None:
@@ -72,7 +68,7 @@ def dump_artifacts(ob, directory="obs-artifacts") -> None:
 
 
 def capture(max_slowdown: float) -> int:
-    elapsed, factorizations, _, _ = run_sweep(workers=1)
+    elapsed, factorizations, _ = run_sweep()
     payload = {
         "sweep": SWEEP,
         "serial_seconds": round(elapsed, 3),
@@ -95,8 +91,7 @@ def check() -> int:
               file=sys.stderr)
         return 2
 
-    elapsed, factorizations, serial, serial_ob = run_sweep(workers=1)
-    last_ob = serial_ob
+    elapsed, factorizations, ob = run_sweep()
     ratio = elapsed / baseline["serial_seconds"]
     print(f"serial sweep: {elapsed:.2f}s "
           f"(baseline {baseline['serial_seconds']:.2f}s, "
@@ -109,27 +104,16 @@ def check() -> int:
         failures.append(
             f"wall-clock regressed {ratio:.2f}x > "
             f"{baseline['max_slowdown']:.1f}x")
-    # Parallel workers must not change wall-clock guards' semantics:
-    # the factorization count is per-process work, so compare serially.
     if factorizations > baseline["factorizations"] * 1.05:
         failures.append(
             f"factorization count grew: {factorizations:.0f} vs baseline "
             f"{baseline['factorizations']:.0f} (the batched E-step "
             "regressed to per-application factorization?)")
 
-    workers = default_workers()
-    if workers > 1:
-        par_elapsed, _, parallel, last_ob = run_sweep(workers=workers)
-        print(f"parallel sweep ({workers} workers): {par_elapsed:.2f}s "
-              f"({elapsed / par_elapsed:.2f}x vs serial)")
-        if parallel.perf != serial.perf or parallel.power != serial.power:
-            failures.append(
-                f"workers={workers} results differ from serial")
-
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
-        dump_artifacts(last_ob)
+        dump_artifacts(ob)
         return 1
     print("OK")
     return 0

@@ -171,7 +171,7 @@ def check_real_shard_loss() -> None:
 
 def check_scale() -> None:
     """The acceptance run: 3200 requests, p99 SLO."""
-    result = sharded_throughput_experiment(workers=4)
+    result = sharded_throughput_experiment()
     assert result.total_requests >= 3200, result.total_requests
     assert result.completed == result.total_requests, result.to_dict()
     assert result.unavailable == 0 and result.shed == 0, result.to_dict()

@@ -20,7 +20,7 @@ Run:  python examples/cluster_coscheduling.py
 from repro.cluster import ClusterCoordinator, Tenant
 from repro.experiments.cluster_energy import tenant_workloads
 from repro.experiments.harness import default_context, format_table
-from repro.experiments.parallel import cell_seed
+from repro.runtime.sampling import cell_seed
 
 BENCHMARKS = ("fluidanimate", "kmeans", "blackscholes")
 UTILIZATIONS = (0.75, 0.25, 0.35)

@@ -25,7 +25,7 @@ Commands:
   requests by tenant key, and dump per-shard routing and metrics as
   JSON.
 * ``obs summarize PATH [PATH ...]`` — render one or more JSONL trace
-  shards (written with ``--trace``, by workers, or by a server) as one
+  shards (written with ``--trace`` or by a server) as one
   merged span tree with per-name aggregates; warns about orphans.
 * ``obs critical-path PATH [PATH ...]`` — the heaviest root-to-leaf
   chain through the merged trace.
@@ -37,10 +37,7 @@ Every command accepts ``--seed`` for reproducibility and ``--space``
 space).  ``estimate``, ``optimize``, ``reproduce``, ``cluster``,
 ``chaos`` and ``serve`` also accept ``--trace PATH`` (record spans to
 a JSONL file), ``--metrics PATH`` (write the metrics snapshot as JSON)
-and ``--slo PATH`` (write the SLO report as JSON).  The sweep-shaped
-``reproduce`` targets accept ``--workers N`` to fan cells across
-processes (see docs/PARALLELISM.md); results are identical for any
-worker count, traced or not.
+and ``--slo PATH`` (write the SLO report as JSON).
 """
 
 from __future__ import annotations
@@ -110,11 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            choices=("fig1", "fig5", "fig6", "fig11",
                                     "fig12", "table1"))
     reproduce.add_argument("--seed", type=int, default=0)
-    reproduce.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="processes for the sweep targets (fig5/fig6/fig11/fig12); "
-             "default: the REPRO_WORKERS environment variable, else 1 "
-             "(serial); results are identical for any worker count")
     _add_obs_arguments(reproduce)
 
     cluster = sub.add_parser(
@@ -137,10 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--space", choices=("paper", "cores"),
                          default="cores")
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="processes for the cap x policy cells; results are "
-             "identical for any worker count")
     _add_obs_arguments(cluster)
 
     hetero = sub.add_parser(
@@ -158,10 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hetero.add_argument("--samples", type=int, default=None,
                         help="calibration samples per cell (default: 48)")
     hetero.add_argument("--seed", type=int, default=0)
-    hetero.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="processes for the benchmark x mode cells; results are "
-             "identical for any worker count")
     hetero.add_argument(
         "--allocation", action="store_true",
         help="water-fill a power cap across per-cluster tenants "
@@ -418,7 +402,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if args.target in ("fig5", "fig6"):
         from repro.experiments.estimation import accuracy_experiment
         ctx = default_context(space_kind="paper", seed=args.seed)
-        result = accuracy_experiment(ctx, trials=1, workers=args.workers)
+        result = accuracy_experiment(ctx, trials=1)
         table = result.perf if args.target == "fig5" else result.power
         means = (result.mean_perf() if args.target == "fig5"
                  else result.mean_power())
@@ -435,8 +419,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
                                               overall_normalized,
                                               summarize_normalized)
         ctx = default_context(space_kind="paper", seed=args.seed)
-        curves = energy_experiment(ctx, num_utilizations=8,
-                                   workers=args.workers)
+        curves = energy_experiment(ctx, num_utilizations=8)
         table = summarize_normalized(curves)
         overall = overall_normalized(curves)
         order = ("leo", "online", "offline", "race-to-idle")
@@ -451,7 +434,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         ctx = default_context(space_kind="paper", seed=args.seed)
         result = sensitivity_experiment(
             ctx, sizes=(0, 5, 10, 15, 20, 30),
-            benchmarks=ctx.benchmark_names[:8], workers=args.workers)
+            benchmarks=ctx.benchmark_names[:8])
         rows = [[s, result.perf["leo"][i], result.perf["online"][i]]
                 for i, s in enumerate(result.sizes)]
         print(format_table(["samples", "leo perf acc", "online perf acc"],
@@ -496,7 +479,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     try:
         runs = cluster_energy_experiment(
             ctx, benchmarks=benchmarks, utilizations=utilizations,
-            caps=caps, deadline=args.deadline, workers=args.workers)
+            caps=caps, deadline=args.deadline)
     except (KeyError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -540,8 +523,7 @@ def _cmd_hetero(args: argparse.Namespace) -> int:
         kwargs["samples"] = args.samples
     try:
         runs = hx.hetero_energy_experiment(
-            benchmarks=benchmarks, seed=args.seed,
-            workers=args.workers, **kwargs)
+            benchmarks=benchmarks, seed=args.seed, **kwargs)
     except (KeyError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1

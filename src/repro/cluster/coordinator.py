@@ -62,7 +62,6 @@ from repro.cluster.partition import (
 from repro.errors import InsufficientSamplesError, SensorReadError
 from repro.estimators.base import Estimator
 from repro.estimators.registry import create_estimator
-from repro.experiments.parallel import cell_seed
 from repro.faults.context import get_injector
 from repro.obs import Observability, get_observability, labeled
 from repro.obs import use as use_observability
@@ -75,7 +74,7 @@ from repro.runtime.controller import (
     TradeoffEstimate,
 )
 from repro.runtime.phase_detector import PhaseDetector
-from repro.runtime.sampling import RandomSampler
+from repro.runtime.sampling import RandomSampler, cell_seed
 from repro.workloads.phases import PhasedWorkload
 from repro.workloads.profile import ApplicationProfile
 

@@ -34,13 +34,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.experiments.parallel import cell_seed
 from repro.platform.config_space import Configuration, ConfigurationSpace
 from repro.platform.machine import Machine
 from repro.platform.performance_model import PerformanceModel
 from repro.platform.power_model import PowerConstants, PowerModel
 from repro.platform.thermal import ThermalModel
 from repro.platform.topology import CorePartition, Topology
+from repro.runtime.sampling import cell_seed
 from repro.workloads.profile import ApplicationProfile
 
 #: Default memory-contention coupling between co-resident tenants.

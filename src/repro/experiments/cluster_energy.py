@@ -18,10 +18,8 @@ tightens, the equal split pinches the heavy tenant into missing its
 deadline while the joint allocator re-balances and still meets all
 three.
 
-Cells — one per ``(cap, policy)`` — fan out across processes with
-:class:`~repro.experiments.parallel.ParallelRunner`; every cell seeds
-its coordinator from the cell payload alone, so results are bit-equal
-for any worker count.
+Each ``(cap, policy)`` cell seeds its coordinator from the cell payload
+alone, so a cell's result does not depend on the rest of the grid.
 """
 
 from __future__ import annotations
@@ -29,13 +27,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cluster import POLICIES, ClusterCoordinator, Tenant
 from repro.cluster.partition import PartitionedMachine
 from repro.experiments import harness
 from repro.experiments.harness import ExperimentContext
-from repro.experiments.parallel import ParallelRunner, cell_seed
+from repro.runtime.sampling import cell_seed
 
 #: Default co-resident benchmarks: one heavy scaler, one throughput
 #: monster, one intermediate — heterogeneous enough that an equal split
@@ -125,8 +121,7 @@ def tenant_workloads(ctx: ExperimentContext,
 
 
 def _cluster_cell(shared, cell) -> ClusterRun:
-    """One ``(cap, policy)`` run (a :class:`ParallelRunner` task:
-    module-level, seeded entirely by the cell payload)."""
+    """One ``(cap, policy)`` run, seeded entirely by the cell payload."""
     ctx, workloads, deadline = shared
     cap, policy = cell
     coordinator = ClusterCoordinator(
@@ -159,21 +154,16 @@ def cluster_energy_experiment(ctx: Optional[ExperimentContext] = None,
                               = DEFAULT_UTILIZATIONS,
                               caps: Sequence[float] = DEFAULT_CAPS,
                               deadline: float = DEFAULT_DEADLINE,
-                              policies: Sequence[str] = POLICIES,
-                              workers: Optional[int] = None
+                              policies: Sequence[str] = POLICIES
                               ) -> List[ClusterRun]:
-    """Run the cap × policy sweep; one :class:`ClusterRun` per cell.
-
-    ``workers`` fans the cells across processes; results are identical
-    for any worker count.
-    """
+    """Run the cap × policy sweep; one :class:`ClusterRun` per cell."""
     if ctx is None:
         ctx = harness.default_context(space_kind="cores")
     workloads = tenant_workloads(ctx, benchmarks, utilizations, deadline)
     cells = [(float(cap), policy) for cap in caps for policy in policies]
-    runner = ParallelRunner(workers=workers)
-    return runner.map(_cluster_cell, cells,
-                      shared=(ctx, workloads, deadline))
+    shared = (ctx, workloads, deadline)
+    with harness.experiment_span("cluster", cells=len(cells)):
+        return [_cluster_cell(shared, cell) for cell in cells]
 
 
 def summarize_runs(runs: Sequence[ClusterRun]) -> List[List[object]]:

@@ -31,7 +31,6 @@ from repro.experiments.harness import (
     random_indices,
     sample_target,
 )
-from repro.experiments.parallel import ParallelRunner
 from repro.optimize.lp import EnergyMinimizer
 from repro.runtime.controller import RuntimeController, TradeoffEstimate
 from repro.runtime.race_to_idle import RaceToIdleController
@@ -76,12 +75,11 @@ class EnergyCurve:
 
 
 def _energy_cell(shared, cell) -> EnergyCurve:
-    """One benchmark's full utilization sweep (a :class:`ParallelRunner`
-    task: module-level, seeded entirely by the cell payload).
+    """One benchmark's full utilization sweep, seeded entirely by the
+    cell payload.
 
     Machine state carries across utilization levels *within* a
-    benchmark, exactly as the serial loop ran it, so per-benchmark cells
-    reproduce the serial results bit for bit.
+    benchmark, never across benchmarks.
     """
     ctx, utilizations, sample_count, deadline = shared
     b, name = cell
@@ -153,14 +151,9 @@ def energy_experiment(ctx: Optional[ExperimentContext] = None,
                       benchmarks: Optional[Sequence[str]] = None,
                       num_utilizations: int = 20,
                       sample_count: int = 20,
-                      deadline: float = DEADLINE_SECONDS,
-                      workers: Optional[int] = None
+                      deadline: float = DEADLINE_SECONDS
                       ) -> List[EnergyCurve]:
-    """Run the Section 6.4 sweep; one :class:`EnergyCurve` per benchmark.
-
-    ``workers`` fans the per-benchmark cells across processes via
-    :class:`ParallelRunner`; curves are identical for any count.
-    """
+    """Run the Section 6.4 sweep; one :class:`EnergyCurve` per benchmark."""
     if ctx is None:
         ctx = harness.default_context()
     if num_utilizations < 2:
@@ -170,9 +163,10 @@ def energy_experiment(ctx: Optional[ExperimentContext] = None,
     names = list(benchmarks) if benchmarks is not None else ctx.benchmark_names
     utilizations = np.linspace(0.05, 1.0, num_utilizations)
 
-    runner = ParallelRunner(workers=workers)
-    return runner.map(_energy_cell, list(enumerate(names)),
-                      shared=(ctx, utilizations, sample_count, deadline))
+    cells = list(enumerate(names))
+    shared = (ctx, utilizations, sample_count, deadline)
+    with harness.experiment_span("fig10-11", cells=len(cells)):
+        return [_energy_cell(shared, cell) for cell in cells]
 
 
 def summarize_normalized(curves: Sequence[EnergyCurve]

@@ -29,7 +29,6 @@ from repro.experiments.harness import (
     random_indices,
     sample_target,
 )
-from repro.experiments.parallel import ParallelRunner
 
 #: The representative applications of Figures 7-10.
 REPRESENTATIVES: Tuple[str, ...] = ("kmeans", "swish", "x264")
@@ -63,9 +62,8 @@ class AccuracyResult:
 def _accuracy_cell(shared, cell) -> Dict[str, Tuple[float, float]]:
     """One (benchmark, trial) unit of the Figure 5/6 protocol.
 
-    Module-level so :class:`ParallelRunner` can ship it to worker
-    processes; the seed is fully determined by the cell payload, so the
-    result is scheduling-independent.
+    The seed is fully determined by the cell payload, so the result
+    does not depend on which cells ran before it.
     """
     ctx, sample_count = shared
     b, name, trial = cell
@@ -86,14 +84,9 @@ def _accuracy_cell(shared, cell) -> Dict[str, Tuple[float, float]]:
 def accuracy_experiment(ctx: Optional[ExperimentContext] = None,
                         sample_count: int = 20,
                         trials: int = 3,
-                        benchmarks: Optional[Sequence[str]] = None,
-                        workers: Optional[int] = None
+                        benchmarks: Optional[Sequence[str]] = None
                         ) -> AccuracyResult:
-    """Run the Figure 5/6 protocol and return the accuracy tables.
-
-    ``workers`` fans the (benchmark, trial) cells across processes via
-    :class:`ParallelRunner`; the tables are identical for any count.
-    """
+    """Run the Figure 5/6 protocol and return the accuracy tables."""
     if ctx is None:
         ctx = harness.default_context()
     if trials < 1:
@@ -102,9 +95,9 @@ def accuracy_experiment(ctx: Optional[ExperimentContext] = None,
 
     cells = [(b, name, trial)
              for b, name in enumerate(names) for trial in range(trials)]
-    runner = ParallelRunner(workers=workers)
-    cell_scores = runner.map(_accuracy_cell, cells,
-                             shared=(ctx, sample_count))
+    shared = (ctx, sample_count)
+    with harness.experiment_span("fig5-6", cells=len(cells)):
+        cell_scores = [_accuracy_cell(shared, cell) for cell in cells]
 
     perf: Dict[str, Dict[str, float]] = {}
     power: Dict[str, Dict[str, float]] = {}

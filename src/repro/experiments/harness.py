@@ -37,11 +37,6 @@ import numpy as np
 
 from repro.core.accuracy import accuracy
 from repro.obs import Span, get_observability
-from repro.experiments.parallel import (  # noqa: F401  (re-exported)
-    ParallelRunner,
-    cell_seed,
-    default_workers,
-)
 from repro.estimators.base import (
     EstimationProblem,
     InsufficientSamplesError,

@@ -28,10 +28,9 @@ the node per cluster and lets :class:`~repro.cluster.PowerCapAllocator`
 water-fill a global cap across tenants whose Pareto frontiers come from
 *different* core types — the heterogeneous-node co-scheduling story.
 
-Cells — one per ``(benchmark, mode)`` — fan out under
-:class:`~repro.experiments.parallel.ParallelRunner`; every cell seeds
-its machine and sample draw from the cell payload alone, so results are
-bit-equal for any ``--workers`` count.
+Each ``(benchmark, mode)`` cell seeds its machine and sample draw from
+the cell payload alone, so a cell's result does not depend on the rest
+of the sweep.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from repro.estimators import (
 )
 from repro.experiments import harness
 from repro.experiments.harness import random_indices
-from repro.experiments.parallel import ParallelRunner, cell_seed
 from repro.optimize import EnergyMinimizer
 from repro.platform.config_space import ConfigurationSpace
 from repro.platform.hetero import (
@@ -68,6 +66,7 @@ from repro.platform.hetero import (
     hetero_space,
 )
 from repro.platform.topology import PAPER_TOPOLOGY
+from repro.runtime.sampling import cell_seed
 from repro.workloads.suite import paper_suite
 from repro.workloads.traces import OfflineDataset
 
@@ -130,7 +129,7 @@ class HeteroRun:
 
 @dataclasses.dataclass
 class HeteroSetup:
-    """Cell-independent precomputation shipped to the workers.
+    """Cell-independent precomputation shared by every cell.
 
     Carries the *paper platform's* offline dataset — the source of the
     transfer priors — alongside the hetero spaces and per-benchmark
@@ -196,8 +195,8 @@ def _estimate_curve(space: ConfigurationSpace, prior: np.ndarray,
 
 
 def _hetero_cell(shared: HeteroSetup, cell: Tuple[str, str]) -> HeteroRun:
-    """One ``(benchmark, mode)`` run (module-level for ParallelRunner;
-    seeded entirely by the cell payload)."""
+    """One ``(benchmark, mode)`` run, seeded entirely by the cell
+    payload."""
     setup = shared
     benchmark, mode = cell
     profile = {p.name: p for p in paper_suite()}[benchmark]
@@ -306,14 +305,9 @@ def hetero_energy_experiment(benchmarks: Optional[Sequence[str]] = None,
                              samples: int = DEFAULT_SAMPLES,
                              psi_blend: float = DEFAULT_PSI_BLEND,
                              seed: int = 0,
-                             workers: Optional[int] = None,
                              setup: Optional[HeteroSetup] = None
                              ) -> List[HeteroRun]:
-    """Run the benchmark × mode sweep; one :class:`HeteroRun` per cell.
-
-    ``workers`` fans the cells across processes; results are identical
-    for any worker count.
-    """
+    """Run the benchmark × mode sweep; one :class:`HeteroRun` per cell."""
     if setup is None:
         setup = build_setup(topology=topology, deadline=deadline,
                             utilization=utilization, samples=samples,
@@ -322,8 +316,8 @@ def hetero_energy_experiment(benchmarks: Optional[Sequence[str]] = None,
     names = (list(benchmarks) if benchmarks is not None
              else list(setup.work_targets))
     cells = [(name, mode) for name in names for mode in MODES]
-    runner = ParallelRunner(workers=workers)
-    return runner.map(_hetero_cell, cells, shared=setup)
+    with harness.experiment_span("hetero", cells=len(cells)):
+        return [_hetero_cell(setup, cell) for cell in cells]
 
 
 def savings_summary(runs: Sequence[HeteroRun]) -> Dict[str, float]:

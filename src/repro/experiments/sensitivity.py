@@ -30,7 +30,6 @@ from repro.experiments.harness import (
     random_indices,
     sample_target,
 )
-from repro.experiments.parallel import ParallelRunner
 
 #: Default sample-size grid; 15 is the online baseline's cliff.
 DEFAULT_SIZES: Tuple[int, ...] = (0, 2, 5, 10, 14, 15, 20, 30, 40)
@@ -56,8 +55,7 @@ class SensitivityResult:
 def _sensitivity_cell(shared, cell):
     """One (size, benchmark) unit of the Figure 12 sweep, all trials.
 
-    Module-level so :class:`ParallelRunner` can ship it across
-    processes; seeds depend only on the payload.
+    Seeds depend only on the payload.
     """
     ctx, trials = shared
     size, b, name = cell
@@ -81,14 +79,9 @@ def _sensitivity_cell(shared, cell):
 def sensitivity_experiment(ctx: Optional[ExperimentContext] = None,
                            sizes: Sequence[int] = DEFAULT_SIZES,
                            benchmarks: Optional[Sequence[str]] = None,
-                           trials: int = 1,
-                           workers: Optional[int] = None
+                           trials: int = 1
                            ) -> SensitivityResult:
-    """Run the Figure 12 sweep.
-
-    ``workers`` fans the (size, benchmark) cells across processes via
-    :class:`ParallelRunner`; results are identical for any count.
-    """
+    """Run the Figure 12 sweep."""
     if ctx is None:
         ctx = harness.default_context()
     if any(size < 0 for size in sizes):
@@ -100,33 +93,33 @@ def sensitivity_experiment(ctx: Optional[ExperimentContext] = None,
     offline_perf_scores: List[float] = []
     offline_power_scores: List[float] = []
 
-    # Offline reference (sample-size independent) and per-size sweeps.
-    views = {name: ctx.dataset.leave_one_out(name) for name in names}
-    truth_views = {name: ctx.truth.leave_one_out(name) for name in names}
-    anchor_indices = {
-        name: random_indices(len(ctx.space), 20, ctx.seed + 40 + i)
-        for i, name in enumerate(names)
-    }
-    for name in names:
-        idx = anchor_indices[name]
-        rate_obs, power_obs = sample_target(ctx, ctx.profile(name), idx,
-                                            seed_offset=ctx.seed + 41)
-        est = estimate_curves(ctx, views[name], idx, rate_obs, power_obs,
-                              "offline")
-        pa, wa = accuracy_scores(est, truth_views[name])
-        offline_perf_scores.append(pa)
-        offline_power_scores.append(wa)
-    offline_perf = float(np.mean(offline_perf_scores))
-    offline_power = float(np.mean(offline_power_scores))
-
-    # Fan the nonzero (size, benchmark) cells out; size 0 is analytic
-    # (LEO degenerates to offline; online cannot run) and stays local.
+    # Size 0 is analytic (LEO degenerates to offline; online cannot
+    # run), so only the nonzero (size, benchmark) cells are fitted.
     cells = [(size, b, name) for size in sizes if size > 0
              for b, name in enumerate(names)]
-    runner = ParallelRunner(workers=workers)
-    cell_results = dict(zip(
-        [(size, b) for size, b, _ in cells],
-        runner.map(_sensitivity_cell, cells, shared=(ctx, trials))))
+    shared = (ctx, trials)
+    with harness.experiment_span("fig12", cells=len(cells)):
+        # Offline reference (sample-size independent).
+        views = {name: ctx.dataset.leave_one_out(name) for name in names}
+        truth_views = {name: ctx.truth.leave_one_out(name)
+                       for name in names}
+        anchor_indices = {
+            name: random_indices(len(ctx.space), 20, ctx.seed + 40 + i)
+            for i, name in enumerate(names)
+        }
+        for name in names:
+            idx = anchor_indices[name]
+            rate_obs, power_obs = sample_target(
+                ctx, ctx.profile(name), idx, seed_offset=ctx.seed + 41)
+            est = estimate_curves(ctx, views[name], idx, rate_obs,
+                                  power_obs, "offline")
+            pa, wa = accuracy_scores(est, truth_views[name])
+            offline_perf_scores.append(pa)
+            offline_power_scores.append(wa)
+        cell_results = {cell[:2]: _sensitivity_cell(shared, cell)
+                        for cell in cells}
+    offline_perf = float(np.mean(offline_perf_scores))
+    offline_power = float(np.mean(offline_power_scores))
 
     for size in sizes:
         per_perf = {a: [] for a in SWEEP_APPROACHES}

@@ -1,79 +1,46 @@
 """Throughput characterization of the estimation service.
 
 The service exists so that many tenants can share one estimation
-backend; this experiment measures what that sharing costs.  It stands up
-an in-process :class:`~repro.service.server.ServerThread`, drives it
-with ``clients`` concurrent workloads of identical ``estimate`` requests
-(cheap ``offline`` fits by default, so the numbers characterize the
-broker rather than the EM engine), and reports latency percentiles plus
-the broker's own admission counters — how many requests coalesced into
-shared fits and how many were shed.
+backend; this experiment measures what that sharing costs.
+:func:`sharded_throughput_experiment` stands up an in-process
+:class:`~repro.shard.ShardFleet` (``shards=1`` is a single broker),
+drives it with ``clients`` concurrent request loops of ``estimate``
+requests routed per tenant key (cheap ``offline`` fits by default, so
+the numbers characterize the brokers rather than the EM engine), and
+reports latency percentiles, per-shard request counts and the p99
+latency through an :class:`~repro.obs.slo.SloTracker` objective — the
+fleet's acceptance number.
 
-The client fan-out reuses the experiment harness's
-:class:`~repro.experiments.parallel.ParallelRunner`: each cell is one
-client's whole request loop, so ``workers=1`` exercises the serial
-path and ``workers=k`` genuinely overlaps client traffic.  Unlike the
-figure sweeps, the *measurements* here are wall-clock and therefore not
+Each client loop runs in its own process, so the clients genuinely
+overlap.  The *measurements* are wall-clock and therefore not
 bit-stable across runs; the structural outputs (request counts, shed
-and coalesce totals for a given mix) are deterministic.
-
-:func:`sharded_throughput_experiment` is the fleet-scale variant: the
-same client loops, but ~100x the request volume against a
-:class:`~repro.shard.ShardFleet`, routed per tenant key, with the p99
-latency reported through an :class:`~repro.obs.slo.SloTracker`
-objective — the fleet's acceptance number.
+and unavailable totals for a given mix) are deterministic.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
+import itertools
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.estimators.base import EstimationProblem
-from repro.experiments.parallel import ParallelRunner, cell_seed
 from repro.obs.metrics import Histogram
 from repro.obs.slo import SloObjective, SloTracker
+from repro.runtime.sampling import cell_seed
 from repro.service import (
-    EstimationService,
-    ServerThread,
     ServiceClient,
     ServiceOverloaded,
     ShardUnavailable,
 )
 
 __all__ = [
-    "ThroughputResult",
     "ShardedThroughputResult",
-    "throughput_experiment",
     "sharded_throughput_experiment",
 ]
-
-
-@dataclasses.dataclass
-class ThroughputResult:
-    """What one load run observed, client-side and broker-side."""
-
-    clients: int
-    requests_per_client: int
-    completed: int
-    shed: int
-    wall_seconds: float
-    latency: Dict[str, float]  # count/mean/p50/p90/p99 in seconds
-    server_counters: Dict[str, float]
-
-    @property
-    def requests_per_second(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.completed / self.wall_seconds
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["requests_per_second"] = self.requests_per_second
-        return payload
 
 
 def _make_problem(seed: int, num_configs: int) -> EstimationProblem:
@@ -86,98 +53,6 @@ def _make_problem(seed: int, num_configs: int) -> EstimationProblem:
         observed_values=rng.random(len(indices)) + 0.5)
 
 
-def _client_cell(shared: Tuple[str, int, int, int],
-                 cell: Tuple[int, int]) -> Dict[str, Any]:
-    """One client's request loop; module-level so it pickles by name.
-
-    ``shared`` is (address text, requests per client, num_configs,
-    distinct problem count); ``cell`` is (client index, base seed).
-    Clients draw problems from a small shared pool so concurrent
-    identical requests exist for the broker to coalesce.
-    """
-    from repro.service import ServiceAddress  # cheap; keeps pickling light
-
-    address_text, requests, num_configs, distinct = shared
-    client_index, base_seed = cell
-    latencies: List[float] = []
-    shed = 0
-    rng = np.random.default_rng(cell_seed(base_seed, "order", client_index))
-    with ServiceClient(ServiceAddress.parse(address_text),
-                       timeout=120.0) as client:
-        for i in range(requests):
-            problem = _make_problem(
-                cell_seed(base_seed, "problem",
-                          int(rng.integers(distinct))),
-                num_configs)
-            started = time.perf_counter()
-            try:
-                client.estimate(problem, estimator="offline",
-                                deadline_s=60.0)
-            except ServiceOverloaded:
-                shed += 1
-                continue
-            latencies.append(time.perf_counter() - started)
-    return {"client": client_index, "latencies": latencies, "shed": shed}
-
-
-def throughput_experiment(clients: int = 4,
-                          requests_per_client: int = 8,
-                          num_configs: int = 32,
-                          distinct_problems: int = 3,
-                          max_pending: int = 8,
-                          max_workers: int = 2,
-                          seed: int = 0,
-                          workers: Optional[int] = None
-                          ) -> ThroughputResult:
-    """Drive a local service with concurrent clients and measure it.
-
-    Args:
-        clients: Concurrent client loops.
-        requests_per_client: ``estimate`` calls each client issues.
-        num_configs: Configuration-space size of the synthetic problems.
-        distinct_problems: Size of the shared problem pool; smaller
-            values create more coalescing opportunities.
-        max_pending: The server's admission bound.
-        max_workers: The server's handler thread count.
-        seed: Base seed for problems and per-client request order.
-        workers: Client-side parallelism (``None`` reads
-            ``REPRO_WORKERS``); the server always runs in this process.
-    """
-    service = EstimationService()
-    with ServerThread(service, max_pending=max_pending,
-                      max_workers=max_workers) as thread:
-        shared = (str(thread.bound_address), requests_per_client,
-                  num_configs, max(1, distinct_problems))
-        cells = [(i, seed) for i in range(clients)]
-        runner = ParallelRunner(workers=workers)
-        started = time.perf_counter()
-        outcomes = runner.map(_client_cell, cells, shared=shared)
-        wall = time.perf_counter() - started
-        with ServiceClient(thread.bound_address) as probe:
-            counters = probe.metrics()["metrics"]["counters"]
-
-    histogram = Histogram("service_client_latency_seconds")
-    shed = 0
-    for outcome in outcomes:
-        shed += outcome["shed"]
-        for value in outcome["latencies"]:
-            histogram.observe(value)
-    snapshot = histogram.summary()
-    return ThroughputResult(
-        clients=clients,
-        requests_per_client=requests_per_client,
-        completed=int(snapshot["count"]),
-        shed=shed,
-        wall_seconds=wall,
-        latency={key: snapshot[key]
-                 for key in ("count", "mean", "p50", "p90", "p99")},
-        server_counters={name: value for name, value in counters.items()
-                        if name.startswith("service_")})
-
-
-# ----------------------------------------------------------------------
-# The sharded fleet at scale
-# ----------------------------------------------------------------------
 @dataclasses.dataclass
 class ShardedThroughputResult:
     """What one fleet-scale load run observed.
@@ -217,7 +92,7 @@ class ShardedThroughputResult:
 
 def _sharded_client_cell(shared: Tuple[Dict[str, str], int, int, int, int],
                          cell: Tuple[int, int]) -> Dict[str, Any]:
-    """One client's request loop against the fleet (pickles by name).
+    """One client's request loop against the fleet, in its own process.
 
     ``shared`` is (address map as text, requests per client,
     num_configs, distinct problem count, tenant count);
@@ -267,20 +142,18 @@ def sharded_throughput_experiment(shards: int = 4,
                                   max_workers: int = 2,
                                   replicas_per_shard: int = 1,
                                   seed: int = 0,
-                                  latency_target_s: float = 2.0,
-                                  workers: Optional[int] = None
+                                  latency_target_s: float = 2.0
                                   ) -> ShardedThroughputResult:
-    """Drive a shard fleet at ~100x the single-broker experiment.
+    """Drive a shard fleet with concurrent clients and measure it.
 
-    The defaults issue ``8 x 400 = 3200`` requests — 100x the
-    single-broker run's ``4 x 8 = 32`` — across a 4-shard fleet, with
-    every completed latency fed to an :class:`SloTracker` whose p99
-    objective (``latency_target_s``) is the acceptance bound the bench
-    gate checks.
+    The defaults issue ``8 x 400 = 3200`` requests across a 4-shard
+    fleet, with every completed latency fed to an :class:`SloTracker`
+    whose p99 objective (``latency_target_s``) is the acceptance bound
+    the bench gate checks.  ``shards=1`` measures a single broker.
 
     Args:
         shards: Fleet width.
-        clients: Concurrent client loops.
+        clients: Concurrent client loops, one process each.
         requests_per_client: ``estimate`` calls each client issues.
         num_configs: Configuration-space size of the synthetic problems.
         distinct_problems: Shared problem pool size (coalescing fodder).
@@ -290,8 +163,6 @@ def sharded_throughput_experiment(shards: int = 4,
         replicas_per_shard: Registry read replicas per shard.
         seed: Base seed for problems, tenants, and request order.
         latency_target_s: The p99 objective bound in the SLO report.
-        workers: Client-side parallelism (``None`` reads
-            ``REPRO_WORKERS``).
     """
     from repro.shard import ShardFleet
 
@@ -303,16 +174,24 @@ def sharded_throughput_experiment(shards: int = 4,
         shared = (addresses_text, requests_per_client, num_configs,
                   max(1, distinct_problems), max(1, tenants))
         cells = [(i, seed) for i in range(clients)]
-        runner = ParallelRunner(workers=workers)
+        # The timer counts client start-up, so keep the default start
+        # method: fork on Linux before Python 3.14.  On a 2-vCPU VM,
+        # spawn and forkserver made wall_seconds 2-2.6x longer.  The
+        # forked clients touch none of the fleet's threads or locks.
         started = time.perf_counter()
-        outcomes = runner.map(_sharded_client_cell, cells, shared=shared)
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=clients) as pool:
+            outcomes = list(pool.map(_sharded_client_cell,
+                                     itertools.repeat(shared), cells))
         wall = time.perf_counter() - started
         per_shard: Dict[str, int] = {}
         for shard, address in fleet.addresses.items():
             with ServiceClient(address) as probe:
                 counters = probe.metrics()["metrics"]["counters"]
+            # The broker counts a frame before answering it, so the
+            # snapshot already includes this probe's own request.
             per_shard[shard] = int(
-                counters.get("service_requests_total", 0))
+                counters.get("service_requests_total", 0)) - 1
 
     histogram = Histogram("sharded_client_latency_seconds")
     slo = SloTracker(objectives=(

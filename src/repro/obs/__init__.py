@@ -36,9 +36,9 @@ with ``python -m repro obs summarize run.jsonl`` (``slo`` and
 Distributed runs (PR 6) add three layers on top, all off by default:
 
 * **Propagation** — :class:`TraceContext` carries ``(trace_id, parent
-  span id, baggage)`` across sockets (the service wire protocol) and
-  process pools (the harness initializer); receiving tracers number
-  spans from disjoint :func:`shard_span_base` blocks, and
+  span id, baggage)`` across sockets (the service wire protocol);
+  receiving tracers number spans from disjoint :func:`shard_span_base`
+  blocks, and
   :func:`merge_spans` / :func:`read_shards` fold the shards back into
   one tree.
 * **Aggregation** — :meth:`MetricsRegistry.dump` /

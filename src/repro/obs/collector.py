@@ -1,8 +1,8 @@
 """Merging per-process span shards into one coherent trace.
 
 A distributed run leaves spans in several places: the originating
-tracer, worker chunks (shipped back through the pool and adopted), and
-service servers (per-request tracers, exported to their own JSONL).
+tracer and service servers (per-request tracers, exported to their own
+JSONL).
 The collector folds any combination into a single tree:
 
 * :func:`merge_spans` — concatenate shards, repairing duplicate span

@@ -18,8 +18,8 @@ summaries — and :meth:`MetricsRegistry.merge` folds such a dump into
 another registry: counters add, gauges take the incoming value
 (last-write-wins), histograms concatenate raw values so merged
 percentiles are exact, not approximations stitched from per-process
-summaries.  Workers and the service server dump, the parent merges,
-and one snapshot reports fleet-wide truth.
+summaries.  Service servers dump, the caller merges, and one snapshot
+reports fleet-wide truth.
 
 Label dimensions are encoded in the metric name via :func:`labeled`
 (``cluster_tenant_epochs_total{tenant=kmeans}``), keeping the registry

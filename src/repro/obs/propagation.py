@@ -1,18 +1,17 @@
 """Trace-context propagation across process and socket boundaries.
 
-PRs 2-5 made the reproduction multi-process — a ProcessPool experiment
-harness, an asyncio estimation service, a cluster coordinator — but the
-tracer stayed in-process: worker spans and server-side handler spans
-were silently dropped.  This module carries a trace across those
-boundaries:
+The estimation service handles each request on its own tracer, often
+in another process (``repro serve``), so without propagation its
+handler spans would never join the caller's trace.  This module carries
+a trace across those boundaries:
 
 * :class:`TraceContext` — the serializable triple ``(trace_id, parent
   span_id, baggage)``.  Small enough to ride in a wire frame's optional
-  ``trace`` field or a pool initializer argument; absent entirely when
-  tracing is off, so the disabled path adds zero bytes to the wire.
+  ``trace`` field; absent entirely when tracing is off, so the disabled
+  path adds zero bytes to the wire.
 * :func:`current_trace_context` — snapshot the ambient tracer's
   position (innermost open span) for injection into an outgoing
-  request or a worker payload.  Returns ``None`` when not recording.
+  request.  Returns ``None`` when not recording.
 * :func:`shard_span_base` — a per-shard span-id block.  Every remote
   participant numbers its spans from a disjoint 2^32-aligned base
   derived from ``(trace_id, shard name)``, so shards merge without id
@@ -67,8 +66,8 @@ def shard_span_base(trace_id: str, shard: str) -> int:
 
     SHA-256 over ``(trace_id, shard)`` picks a 31-bit block number,
     shifted above the 32-bit local-id range — deterministic (the same
-    chunk gets the same ids whichever worker runs it), coordination-free,
-    and collision-free against the originating process's ids.  Distinct
+    shard name always gets the same block), coordination-free, and
+    collision-free against the originating process's ids.  Distinct
     shards collide only on a 31-bit hash collision, which the collector
     additionally repairs by remapping (:func:`repro.obs.collector.
     merge_spans`).

@@ -29,9 +29,9 @@ tracer may carry a ``trace_id``, number its spans from a per-shard
 ``span_id_base`` (so concurrent processes never collide), and parent
 its root spans under a ``remote_parent`` span id received from another
 process via :class:`~repro.obs.propagation.TraceContext`.
-:meth:`Tracer.adopt` folds span shards recorded elsewhere (workers,
-service handlers) into this tracer's finished list, and
-:func:`repro.obs.collector.merge_spans` builds the single coherent tree.
+:func:`repro.obs.collector.merge_spans` folds span shards recorded
+elsewhere (service handlers) and this tracer's spans into a single
+coherent tree.
 """
 
 from __future__ import annotations
@@ -177,9 +177,6 @@ class NullTracer:
         """Return the shared no-op span handle."""
         return NULL_SPAN
 
-    def adopt(self, spans: Iterable[Span]) -> None:
-        """Discard foreign spans (nothing is recorded while disabled)."""
-
     @property
     def spans(self) -> Sequence[Span]:
         """Always empty."""
@@ -272,22 +269,6 @@ class Tracer:
         """Spans finished after a :attr:`num_finished` bookmark."""
         return sorted(self._finished[mark:],
                       key=lambda s: (s.start, s.span_id))
-
-    def adopt(self, spans: Iterable[Span]) -> None:
-        """Fold finished spans recorded elsewhere into this tracer.
-
-        The collection mechanism for distributed traces: workers and
-        service handlers record on their own tracers, ship
-        ``[span.to_dict()]`` back, and the originating tracer adopts the
-        rebuilt spans so one :func:`write_trace` exports the whole tree.
-        Adopted spans keep their ids and parents (shard bases make them
-        collision-free); open local spans are unaffected.
-        """
-        for span in spans:
-            if span.end < span.start:
-                raise ValueError(
-                    f"cannot adopt unfinished span {span.name!r}")
-            self._finished.append(span)
 
     def clear(self) -> None:
         """Drop all finished spans (open spans are unaffected)."""

@@ -109,9 +109,9 @@ def critical_path(spans: Sequence[Span]) -> List[Span]:
     Starts at the longest root and repeatedly descends into the child
     with the largest duration — the chain a latency optimization should
     attack first.  In a merged distributed trace this walks straight
-    across process boundaries (harness → worker cell → service handler),
-    which is the point of stitching the shards together.  Returns the
-    spans along the path, root first; empty for an empty trace.
+    across process boundaries (client call → service handler), which is
+    the point of stitching the shards together.  Returns the spans along
+    the path, root first; empty for an empty trace.
     """
     spans = sorted(spans, key=lambda s: (s.start, s.span_id))
     if not spans:

@@ -433,9 +433,9 @@ class RuntimeController:
         self.prior_powers = prior_powers
         # The default sampler is explicitly seeded: an OS-entropy default
         # would make calibration nondeterministic, which silently breaks
-        # result equality when experiments fan out across processes.
-        # Callers wanting independent draws pass a per-cell-seeded
-        # sampler (RandomSampler(seed=cell_seed)).
+        # result equality between repeated experiment runs.  Callers
+        # wanting independent draws pass a per-cell-seeded sampler
+        # (RandomSampler(seed=cell_seed)).
         self.sampler = sampler if sampler is not None else RandomSampler(seed=0)
         self.sample_count = sample_count
         self.sample_window = sample_window

@@ -6,28 +6,41 @@ online baseline "sample randomly select 20 configurations each"
 (Section 6.3).  Both strategies are provided, plus a latin-hypercube-like
 stratified option for the sampling ablation.
 
-**Determinism under process fan-out.**  The randomized samplers carry a
-private ``numpy`` Generator whose stream advances with every
-:meth:`~Sampler.select` call.  Two hazards follow when experiment cells
-run in parallel worker processes (see docs/PARALLELISM.md):
+**Determinism across experiment cells.**  The randomized samplers carry
+a private ``numpy`` Generator whose stream advances with every
+:meth:`~Sampler.select` call.  Two hazards follow when an experiment
+sweep runs many cells (see docs/PARALLELISM.md):
 
 * an *unseeded* sampler (``seed=None``) draws from OS entropy, so the
-  same cell gives different answers on different runs or workers;
-* a *shared* sampler instance pickled into several workers duplicates
-  its stream — "random" cells become correlated copies of each other.
+  same cell gives different answers on different runs;
+* a sampler instance *shared* across cells couples them — a cell's
+  draws then depend on which cells ran before it.
 
-The rule the experiment harness follows: construct a fresh sampler
-inside each cell, seeded from the cell's payload
-(``RandomSampler(seed=cell_seed)``).  The constructor seed is kept on
+The rule every sweep follows: construct a fresh sampler inside each
+cell, seeded from the cell's payload (``RandomSampler(seed=cell_seed)``).
+:func:`cell_seed` derives that seed.  The constructor seed is kept on
 ``self.seed`` so tests and harness code can verify it was set.
 """
 
 from __future__ import annotations
 
 import abc
+import hashlib
 from typing import Optional
 
 import numpy as np
+
+
+def cell_seed(base_seed: int, *components: object) -> int:
+    """A per-cell seed derived stably from ``base_seed`` and labels.
+
+    Uses SHA-256 over the reprs, so the same (benchmark, estimator,
+    trial) cell gets the same seed in every process on every platform —
+    unlike ``hash()``, which is salted per interpreter.  The result fits
+    in 63 bits, valid for ``np.random.default_rng``.
+    """
+    digest = hashlib.sha256(repr((base_seed,) + components).encode())
+    return int.from_bytes(digest.digest()[:8], "little") >> 1
 
 
 class Sampler(abc.ABC):

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.experiments.harness import ExperimentContext
 from repro.platform.config_space import ConfigurationSpace
 from repro.platform.machine import Machine
 from repro.platform.topology import PAPER_TOPOLOGY
@@ -72,6 +73,24 @@ def cores_truth(cores_space, suite) -> OfflineDataset:
     """Noise-free ground-truth tables on the cores-only space."""
     machine = Machine(PAPER_TOPOLOGY, seed=98)
     return OfflineDataset.collect(machine, suite, cores_space, noisy=False)
+
+
+@pytest.fixture(scope="session")
+def cores_context(cores_space, suite, cores_dataset, cores_truth
+                  ) -> ExperimentContext:
+    """An experiment context over the cores-only space and tables."""
+    return ExperimentContext(space=cores_space, suite=tuple(suite),
+                             dataset=cores_dataset, truth=cores_truth,
+                             seed=0)
+
+
+@pytest.fixture(scope="session")
+def small_grid(cores_context):
+    """One cap, two policies, two tenants — the smallest real cluster
+    sweep (``cluster_energy_experiment(**small_grid)``)."""
+    return dict(ctx=cores_context, benchmarks=("kmeans", "blackscholes"),
+                utilizations=(0.3, 0.4), caps=(220.0,),
+                deadline=15.0, policies=("joint", "static"))
 
 
 @pytest.fixture()

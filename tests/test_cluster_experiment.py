@@ -1,14 +1,10 @@
 """Tests for the cluster co-scheduling experiment and its CLI surface.
 
-The parallel-harness contract extends to the new experiment: fanning
-the (cap, policy) cells across worker processes must not change a bit
-of any result.  The sweep itself is exercised on a reduced grid; the
-full acceptance story (joint beats the equal split at a loose cap,
-meets deadlines the split misses at a tight one) is the CI gate in
-benchmarks/cluster_smoke.py.
+The sweep itself is exercised on a reduced grid (``small_grid`` in
+conftest.py); the full acceptance story (joint beats the equal split at
+a loose cap, meets deadlines the split misses at a tight one) is the CI
+gate in benchmarks/cluster_smoke.py.
 """
-
-import dataclasses
 
 import pytest
 
@@ -20,27 +16,11 @@ from repro.experiments.cluster_energy import (
     summarize_runs,
     tenant_workloads,
 )
-from repro.experiments.harness import ExperimentContext
-
-
-@pytest.fixture(scope="module")
-def ctx(cores_space, suite, cores_dataset, cores_truth):
-    return ExperimentContext(space=cores_space, suite=tuple(suite),
-                            dataset=cores_dataset, truth=cores_truth,
-                            seed=0)
-
-
-@pytest.fixture(scope="module")
-def small_grid(ctx):
-    """One cap, two policies, two tenants — the smallest real sweep."""
-    return dict(ctx=ctx, benchmarks=("kmeans", "blackscholes"),
-                utilizations=(0.3, 0.4), caps=(220.0,),
-                deadline=15.0, policies=("joint", "static"))
 
 
 class TestSweep:
     def test_serial_sweep_invariants(self, small_grid):
-        runs = cluster_energy_experiment(workers=1, **small_grid)
+        runs = cluster_energy_experiment(**small_grid)
         assert len(runs) == 2
         assert {r.policy for r in runs} == {"joint", "static"}
         for run in runs:
@@ -50,27 +30,21 @@ class TestSweep:
             assert run.work_done > 0
             assert set(run.tenant_energy) == {"kmeans", "blackscholes"}
 
-    def test_parallel_results_bit_equal(self, small_grid):
-        serial = cluster_energy_experiment(workers=1, **small_grid)
-        parallel = cluster_energy_experiment(workers=2, **small_grid)
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
 
 class TestWorkloadSizing:
-    def test_work_scales_with_utilization(self, ctx):
-        low = tenant_workloads(ctx, ("kmeans", "blackscholes"),
+    def test_work_scales_with_utilization(self, cores_context):
+        low = tenant_workloads(cores_context, ("kmeans", "blackscholes"),
                                (0.2, 0.2), 15.0)
-        high = tenant_workloads(ctx, ("kmeans", "blackscholes"),
+        high = tenant_workloads(cores_context, ("kmeans", "blackscholes"),
                                 (0.4, 0.4), 15.0)
         for (name_l, work_l), (name_h, work_h) in zip(low, high):
             assert name_l == name_h
             assert work_h == pytest.approx(2.0 * work_l)
 
-    def test_mismatched_lengths_rejected(self, ctx):
+    def test_mismatched_lengths_rejected(self, cores_context):
         with pytest.raises(ValueError, match="utilizations"):
-            tenant_workloads(ctx, ("kmeans",), (0.5, 0.5), 10.0)
+            tenant_workloads(cores_context, ("kmeans",), (0.5, 0.5),
+                             10.0)
 
 
 def fake_run(cap, policy, energy, missed=()):

@@ -7,6 +7,7 @@ break them.
 
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -71,6 +72,52 @@ class TestReproducingDoc:
         text = (ROOT / "docs" / "REPRODUCING.md").read_text()
         for path in (ROOT / "benchmarks").glob("test_*.py"):
             assert path.name in text, f"{path.name} undocumented"
+
+
+#: A shell line that runs the CLI, after an optional ``$`` prompt and
+#: ``VAR=value`` prefixes.
+CLI_LINE = re.compile(
+    r"(\$\s+)?(\w+=\S*\s+)*(python3? -m repro|repro)(?=\s|$)")
+
+
+def _cli_examples():
+    """``(file, argv)`` for each CLI line in README's and docs' fences.
+
+    Lines ending in a backslash join the next; a trailing comment, pipe
+    or ``&`` is cut off.
+    """
+    examples = []
+    for path in [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md")):
+        fences = re.findall(r"^```[^\n]*\n(.*?)^```", path.read_text(),
+                            flags=re.S | re.M)
+        for fence in fences:
+            for line in fence.replace("\\\n", " ").splitlines():
+                command = line.strip()
+                match = CLI_LINE.match(command)
+                if not match:
+                    continue
+                argv = shlex.split(command[match.end():], comments=True)
+                for i, word in enumerate(argv):
+                    if word.startswith(("|", "&")):
+                        argv = argv[:i]
+                        break
+                examples.append((path.name, argv))
+    return examples
+
+
+class TestCliExamples:
+    def test_every_fenced_example_parses(self):
+        from repro.cli import _build_parser
+        examples = _cli_examples()
+        assert examples, "no CLI examples found in the docs"
+        parser = _build_parser()
+        broken = []
+        for name, argv in examples:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                broken.append(f"{name}: {' '.join(argv)}")
+        assert not broken, broken
 
 
 class TestModuleEntryPoint:

@@ -1,24 +1,21 @@
 """End-to-end distributed observability.
 
-The PR-6 acceptance surface: spans recorded in pool workers and in the
-estimation service merge with the originating tracer's spans into one
-orphan-free tree; worker metrics registries aggregate into the parent;
-and none of it changes experiment results — tracing on and off are
-bit-identical.
-
-Tasks are module-level so they pickle by name into pool workers.
+The acceptance surface: spans recorded in the estimation service merge
+with the originating tracer's spans into one orphan-free tree; a traced
+experiment sweep hangs under one ``experiment.run`` root; and none of it
+changes experiment results — tracing on and off are bit-identical.
 """
 
-import numpy as np
+import dataclasses
+
 import pytest
 
 from repro.cluster import ClusterCoordinator, Tenant
 from repro.cluster.partition import PartitionedMachine
-from repro.experiments.parallel import ParallelRunner
+from repro.experiments.cluster_energy import cluster_energy_experiment
 from repro.obs import (
     Observability,
     Span,
-    get_metrics,
     merge_spans,
     orphan_spans,
     use,
@@ -36,22 +33,6 @@ from repro.workloads.suite import get_benchmark
 TRACE_ID = "feedbeefcafe0123"
 
 
-def _counting_task(shared, cell):
-    """Increment a worker-side counter and do a tiny bit of work."""
-    get_metrics().inc("distributed_cells_total")
-    return cell * cell
-
-
-def _draw_task(shared, cell):
-    """A task whose result would expose any RNG perturbation."""
-    rng = np.random.default_rng(cell)
-    return float(rng.normal(loc=shared or 0.0))
-
-
-def _cells(n=8):
-    return list(range(n))
-
-
 def _span(name, span_id, parent_id=None, start=0.0, end=1.0,
           trace_id=None):
     return Span(name=name, span_id=span_id, parent_id=parent_id,
@@ -59,69 +40,28 @@ def _span(name, span_id, parent_id=None, start=0.0, end=1.0,
 
 
 # ----------------------------------------------------------------------
-# ParallelRunner: worker spans and metrics come home
+# Experiment sweeps: one root, and tracing changes no result
 # ----------------------------------------------------------------------
-class TestWorkerExport:
-    def _traced_map(self, workers, cells, task=_counting_task):
+class TestSweepTracing:
+    def test_tracing_does_not_change_results(self, small_grid):
+        baseline = cluster_energy_experiment(**small_grid)
+        with use(Observability.recording()):
+            traced = cluster_energy_experiment(**small_grid)
+        # Bit-identical, not approx.
+        assert ([dataclasses.asdict(run) for run in traced]
+                == [dataclasses.asdict(run) for run in baseline])
+
+    def test_sweep_has_one_experiment_root(self, small_grid):
         ob = Observability.recording(trace_id=TRACE_ID)
         with use(ob):
-            with ob.tracer.span("run.root"):
-                results = ParallelRunner(workers=workers,
-                                         chunk_size=3).map(task, cells)
-        return ob, results
-
-    def test_worker_spans_adopted_into_parent_trace(self):
-        cells = _cells()
-        ob, results = self._traced_map(2, cells)
-        assert results == [c * c for c in cells]
+            cluster_energy_experiment(**small_grid)
         spans = ob.tracer.spans
         assert orphan_spans(spans) == []
-        cell_spans = [s for s in spans if s.name == "harness.cell"]
-        assert len(cell_spans) == len(cells)
-        parent = next(s for s in spans if s.name == "harness.parallel_map")
-        assert {s.parent_id for s in cell_spans} == {parent.span_id}
-        assert {s.trace_id for s in cell_spans} == {TRACE_ID}
-        assert {s.attributes["index"] for s in cell_spans} \
-            == set(range(len(cells)))
-
-    def test_worker_counters_aggregate_to_process_sum(self):
-        cells = _cells()
-        ob, _ = self._traced_map(2, cells)
-        counters = ob.metrics.snapshot()["counters"]
-        # Both counters were incremented once per cell inside worker
-        # processes; the merged parent registry holds the exact sum.
-        assert counters["distributed_cells_total"] == len(cells)
-        assert counters["harness_worker_cells_total"] == len(cells)
-
-    def test_span_ids_independent_of_worker_count(self):
-        # Shard bases key on chunk content, not on which worker ran the
-        # chunk, so the same cells produce the same span ids at any
-        # parallelism (timings aside).
-        def identities(workers):
-            ob, _ = self._traced_map(workers, _cells())
-            return sorted((s.attributes["index"], s.span_id, s.parent_id)
-                          for s in ob.tracer.spans
-                          if s.name == "harness.cell")
-        assert identities(2) == identities(3)
-
-    def test_serial_path_records_cells_too(self):
-        cells = _cells(4)
-        ob, results = self._traced_map(1, cells)
-        assert results == [c * c for c in cells]
-        assert len([s for s in ob.tracer.spans
-                    if s.name == "harness.cell"]) == len(cells)
-        assert ob.metrics.snapshot()["counters"][
-            "distributed_cells_total"] == len(cells)
-
-    def test_tracing_does_not_change_results(self):
-        cells = _cells()
-        baseline = ParallelRunner(workers=2, chunk_size=3).map(
-            _draw_task, cells, shared=0.5)
-        ob = Observability.recording()
-        with use(ob):
-            traced = ParallelRunner(workers=2, chunk_size=3).map(
-                _draw_task, cells, shared=0.5)
-        assert traced == baseline  # bit-identical, not approx
+        roots = [s for s in spans if s.parent_id is None]
+        assert [s.name for s in roots] == ["experiment.run"]
+        assert roots[0].attributes["experiment"] == "cluster"
+        names = [s.name for s in spans]
+        assert "estimator.fit" in names and "em.fit" in names
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +128,7 @@ class TestServicePropagation:
 
 
 # ----------------------------------------------------------------------
-# The acceptance run: cluster + pool workers + remote estimator
+# The acceptance run: cluster + remote estimator
 # ----------------------------------------------------------------------
 DEADLINE = 15.0
 CAP = 220.0
@@ -206,13 +146,12 @@ def _tenant_work(cores_space, name, utilization):
 
 
 class TestDistributedAcceptance:
-    def test_one_trace_across_pool_and_service(self, cores_space,
-                                               cores_dataset):
-        """Workers=2 plus a RemoteEstimator tenant: one orphan-free
-        tree, and parent counters equal the per-process sums."""
+    def test_one_trace_across_cluster_and_service(self, cores_space,
+                                                  cores_dataset):
+        """A cluster tenant calibrating through a RemoteEstimator: one
+        orphan-free tree across the client and the server."""
         work = _tenant_work(cores_space, "kmeans", 0.3)
         view = cores_dataset.leave_one_out("kmeans")
-        cells = _cells()
         ob = Observability.recording(trace_id=TRACE_ID)
         with ServerThread(EstimationService(), max_pending=4,
                           max_workers=1) as thread:
@@ -220,9 +159,6 @@ class TestDistributedAcceptance:
                                timeout=120.0) as remote_client:
                 with use(ob):
                     with ob.tracer.span("acceptance.run"):
-                        pool_results = ParallelRunner(
-                            workers=2, chunk_size=3).map(
-                                _counting_task, cells)
                         coordinator = ClusterCoordinator(
                             cores_space, cap_watts=CAP, seed=3)
                         coordinator.admit(Tenant(
@@ -237,18 +173,15 @@ class TestDistributedAcceptance:
             server_spans = thread.server.request_spans
 
         assert report.all_deadlines_met
-        assert pool_results == [c * c for c in cells]
 
         merged = merge_spans(ob.tracer.spans, server_spans)
         assert orphan_spans(merged) == [], \
             "every cross-process edge must resolve in the merged tree"
         names = {s.name for s in merged}
-        assert "harness.cell" in names, "pool worker shard missing"
         assert "service.request" in names, "service shard missing"
         assert {s.trace_id for s in merged} == {TRACE_ID}
 
         counters = ob.metrics.snapshot()["counters"]
-        assert counters["distributed_cells_total"] == len(cells)
         assert counters["cluster_deadline_met_total{tenant=kmeans}"] == 1
 
         # The merged tree is coherent enough to analyze: the critical

@@ -3,9 +3,9 @@
 The PR-6 distributed primitives in isolation: the wire form of
 :class:`TraceContext` (tolerant parsing — bad metadata must never fail
 the request carrying it), deterministic trace ids, disjoint per-shard
-span-id blocks, the tracer's distributed features (remote parents,
-shard bases, adoption of foreign spans), the collector's collision
-repair, and the bounded :class:`TimeSeries` the SLO layer reads.
+span-id blocks, the tracer's distributed features (remote parents and
+shard bases), the collector's collision repair, and the bounded
+:class:`TimeSeries` the SLO layer reads.
 """
 
 import pytest
@@ -168,26 +168,6 @@ class TestTracerDistributed:
         with tracer.span("a"):
             pass
         assert "trace_id" not in tracer.spans[0].to_dict()
-
-    def test_adopt_folds_foreign_spans(self):
-        worker = Tracer(trace_id=TRACE_ID, remote_parent=1,
-                        span_id_base=shard_span_base(TRACE_ID, "w"))
-        with worker.span("cell"):
-            pass
-        home = Tracer(trace_id=TRACE_ID)
-        with home.span("root"):
-            pass
-        home.adopt(Span.from_dict(d)
-                   for d in (s.to_dict() for s in worker.spans))
-        names = {s.name for s in home.spans}
-        assert names == {"root", "cell"}
-        adopted = next(s for s in home.spans if s.name == "cell")
-        assert adopted.parent_id == 1  # ids survive adoption verbatim
-
-    def test_adopt_rejects_unfinished_spans(self):
-        tracer = Tracer()
-        with pytest.raises(ValueError, match="unfinished"):
-            tracer.adopt([_span("open", 1, start=2.0, end=1.0)])
 
 
 class TestMergeSpans:

@@ -1,14 +1,14 @@
-"""Property tests for the parallel harness and the batched E-step.
+"""Property tests for per-cell seeding and the batched E-step.
 
-These lock down the two claims the parallel/batched PR rests on:
+These lock down the two claims the experiment sweeps rest on:
 
 * **Batching changes nothing** — the stacked mask-group E-step
   (`MaskedPosterior.means` / `logliks`, `EMEngine._dense_group_posterior`,
   the oracle's `PosteriorCache`) produces the same numbers as the
   one-application-at-a-time loops it replaced;
-* **Scheduling changes nothing** — `ParallelRunner(workers=k)` returns
-  results identical to the serial path for every k, chunking, and
-  fallback mode, because each cell's seed is fixed in its payload.
+* **Cells are independent** — `cell_seed` derives each cell's seed
+  stably from its payload, so a cell's result never depends on which
+  cells ran before it or in which process.
 
 Plus the optimizer invariants the golden fixtures rely on (hull vertices
 are Pareto-optimal; the LP never loses to a single configuration) and
@@ -17,17 +17,16 @@ factorizations than one per application.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.em import EMConfig, EMEngine
 from repro.core.linalg import MaskedPosterior, PosteriorCache, dense_posterior
 from repro.core.observation import ObservationSet
-from repro.experiments.parallel import ParallelRunner, cell_seed
 from repro.obs import Observability, use
 from repro.optimize.lp import EnergyMinimizer
 from repro.optimize.pareto import TradeoffFrontier, pareto_optimal_mask
+from repro.runtime.sampling import cell_seed
 
 # ----------------------------------------------------------------------
 # Shared generators
@@ -230,67 +229,8 @@ class TestFactorizationCounters:
 
 
 # ----------------------------------------------------------------------
-# ParallelRunner: worker count is invisible in the results
+# cell_seed: the per-cell seeding rule every sweep follows
 # ----------------------------------------------------------------------
-
-# Tasks must be module-level so they pickle by name into workers.
-
-
-def _draw_task(shared, cell):
-    """A cell whose result depends only on its payload-carried seed."""
-    label, seed = cell
-    rng = np.random.default_rng(seed)
-    return label, float(rng.standard_normal()), shared
-
-
-def _square_task(shared, cell):
-    return cell * cell + (shared or 0)
-
-
-def _make_cells(base_seed, count):
-    return [(f"cell-{i}", cell_seed(base_seed, "prop", i))
-            for i in range(count)]
-
-
-class TestParallelRunnerEquality:
-    def test_serial_matches_process_for_any_worker_count(self):
-        cells = _make_cells(0, 13)
-        serial = ParallelRunner(workers=1).map(_draw_task, cells, shared=7)
-        for k in (2, 3):
-            runner = ParallelRunner(workers=k)
-            parallel = runner.map(_draw_task, cells, shared=7)
-            assert parallel == serial
-            assert runner.last_backend in ("process", "serial")
-
-    def test_chunk_size_does_not_change_results(self):
-        cells = _make_cells(1, 9)
-        serial = ParallelRunner(workers=1).map(_draw_task, cells)
-        for chunk_size in (1, 2, 5, 100):
-            runner = ParallelRunner(workers=2, chunk_size=chunk_size)
-            assert runner.map(_draw_task, cells) == serial
-
-    def test_results_keep_input_order(self):
-        cells = list(range(20))
-        out = ParallelRunner(workers=3).map(_square_task, cells, shared=1)
-        assert out == [c * c + 1 for c in cells]
-
-    def test_empty_cells(self):
-        runner = ParallelRunner(workers=4)
-        assert runner.map(_square_task, []) == []
-
-    def test_unavailable_start_method_falls_back_to_serial(self):
-        cells = _make_cells(2, 5)
-        runner = ParallelRunner(workers=4, mp_context="no-such-method")
-        out = runner.map(_draw_task, cells, shared=None)
-        assert runner.last_backend == "serial"
-        assert out == ParallelRunner(workers=1).map(_draw_task, cells,
-                                                    shared=None)
-
-    def test_workers_validation(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(workers=0)
-        with pytest.raises(ValueError):
-            ParallelRunner(workers=2, chunk_size=0)
 
 
 class TestCellSeed:

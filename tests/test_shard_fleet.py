@@ -5,7 +5,7 @@ fleet are bit-identical to local execution; a stopped broker sheds
 exactly its own tenants with the typed
 :class:`ShardUnavailable`; and a model published through one shard
 warm-starts the same app on a *different* shard via registry
-replication.
+replication; and the fleet load experiment counts every request once.
 """
 
 import numpy as np
@@ -14,6 +14,9 @@ import pytest
 from repro.errors import ShardUnavailable
 from repro.estimators.base import EstimationProblem
 from repro.estimators.registry import create_estimator
+from repro.experiments.service_throughput import (
+    sharded_throughput_experiment,
+)
 from repro.service import RemoteEstimator
 from repro.shard import ShardFleet, ShardedServiceClient
 
@@ -123,3 +126,16 @@ class TestReplicationThroughTheFleet:
         lag = fleet.replication_lag()
         assert set(lag) == {f"{shard}/replica-0"
                             for shard in fleet.shard_ids}
+
+
+class TestThroughputExperiment:
+    def test_per_shard_requests_sum_to_completed(self):
+        # Each client loop runs in its own process; the per-shard counts
+        # come from each broker's metrics, taken by a probe request that
+        # must not count itself.
+        result = sharded_throughput_experiment(
+            shards=2, clients=3, requests_per_client=10, tenants=6,
+            distinct_problems=1)
+        assert result.shed == 0 and result.unavailable == 0
+        assert result.completed == 30
+        assert sum(result.per_shard_requests.values()) == result.completed
