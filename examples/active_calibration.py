@@ -7,8 +7,8 @@ Two production concerns beyond the paper's protocol:
    a new measurement would teach the most about.  The active calibrator
    seeds with a coarse grid, then chases uncertainty — reaching random
    sampling's accuracy with fewer measurements on adversarial shapes.
-2. *Why recalibrate at all?*  The fitted model outlives the process; an
-   EstimateStore persists it so a returning application starts from its
+2. *Why recalibrate at all?*  The fitted model outlives the process; a
+   ModelRegistry versions it so a returning application starts from its
    saved curves.
 
 Run:  python examples/active_calibration.py
@@ -23,9 +23,23 @@ from repro.experiments.harness import default_context, format_table
 from repro.reporting import sparkline
 from repro.runtime.active_sampling import ActiveCalibrator
 from repro.runtime.controller import RuntimeController
-from repro.runtime.persistence import EstimateStore
 from repro.runtime.sampling import RandomSampler
 from repro.estimators.leo import LEOEstimator
+from repro.service.registry import ModelRegistry
+
+
+def load_or_calibrate(registry, app, controller, profile):
+    """The newest published model for ``app``, calibrating on a miss.
+
+    Section 6.7's amortization across process lifetimes: the first run
+    pays for calibration, every later run starts from the registry.
+    """
+    estimate = registry.warm_estimate(app, len(controller.space),
+                                      controller.estimator.name)
+    if estimate is None:
+        estimate = controller.calibrate(profile)
+        registry.publish(app, estimate)
+    return estimate
 
 
 def main() -> None:
@@ -70,18 +84,19 @@ def main() -> None:
 
     # Persist and reload the model.
     with tempfile.TemporaryDirectory() as tmp:
-        store = EstimateStore(tmp)
+        registry = ModelRegistry(tmp)
         controller = RuntimeController(
             machine=ctx.machine(seed_offset=53), space=ctx.space,
             estimator=LEOEstimator(),
             prior_rates=view.prior_rates, prior_powers=view.prior_powers,
             sampler=RandomSampler(seed=2))
-        first = store.get_or_calibrate(target, controller, profile)
+        first = load_or_calibrate(registry, target, controller, profile)
         clock_after = controller.machine.clock
-        again = store.get_or_calibrate(target, controller, profile)
-        print(f"\nEstimateStore: first call sampled for "
-              f"{first.sampling_time:.0f}s; second call loaded from disk "
-              f"(machine clock unchanged: "
+        again = load_or_calibrate(registry, target, controller, profile)
+        version = registry.latest(target, len(ctx.space), "leo").version
+        print(f"\nModelRegistry: the first call sampled for "
+              f"{first.sampling_time:.0f}s and published it; the second "
+              f"loaded version {version} (machine clock unchanged: "
               f"{controller.machine.clock == clock_after}); curves "
               f"identical: {np.array_equal(first.rates, again.rates)}")
 

@@ -309,9 +309,13 @@ def read_trace(path: PathLike) -> List[Span]:
 
 
 def _jsonable(value: Any):
-    """Fallback serializer: numpy scalars and arrays degrade gracefully."""
-    if hasattr(value, "item"):
-        return value.item()
+    """Fallback serializer: numpy scalars and arrays degrade gracefully.
+
+    ``tolist`` is checked before ``item`` — arrays expose both, but
+    ``item()`` only works for single-element arrays.
+    """
     if hasattr(value, "tolist"):
         return value.tolist()
+    if hasattr(value, "item"):
+        return value.item()
     return str(value)

@@ -5,7 +5,7 @@ from repro.runtime.controller import RunReport, RuntimeController, TradeoffEstim
 from repro.runtime.energy_manager import EnergyManager
 from repro.runtime.feedback import HullRateController
 from repro.runtime.governor import OndemandGovernor
-from repro.runtime.persistence import CheckpointManager, EstimateStore
+from repro.runtime.persistence import CheckpointManager
 from repro.runtime.phase_detector import PhaseDetector
 from repro.runtime.resilience import CircuitBreaker, DegradationLadder
 from repro.runtime.race_to_idle import (
@@ -30,7 +30,6 @@ __all__ = [
     "CircuitBreaker",
     "DegradationLadder",
     "EnergyManager",
-    "EstimateStore",
     "HullRateController",
     "OndemandGovernor",
     "PhaseDetector",

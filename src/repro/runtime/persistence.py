@@ -1,20 +1,13 @@
-"""Persisting calibrated tradeoff estimates across runs.
+"""Controller checkpoints on disk.
 
-"After executing this algorithm, the models are sufficient for making
-predictions and LEO does not need to be executed again for the life of
-the application under control" (Section 6.7).  Deployments extend that
-lifetime across process restarts by persisting the fitted curves:
-:class:`EstimateStore` keeps one record per (application, space size,
-estimator) on disk, so a returning application skips calibration
-entirely.
-
-Records are schema-versioned (:data:`SCHEMA_VERSION` in the embedded
-metadata) and written atomically (temporary file + ``os.replace``), so
-concurrent writers never expose a torn record and a reader always sees
-either the old or the new curve in full.  Unreadable records — corrupt
-archives, mangled metadata JSON, or records written by a *future*
-schema this code cannot interpret — are treated as absent rather than
-raised mid-load: the caller simply re-calibrates, which is always safe.
+:class:`CheckpointManager` writes a running controller's state every few
+control quanta, atomically (temporary file + ``os.replace``) and with a
+CRC-32 over the payload, so a crashed run resumes from its last
+boundary — bit-equal to an uninterrupted run — and a torn or corrupted
+checkpoint is detected and skipped rather than resumed from.  Fitted
+models persist elsewhere: :class:`repro.service.registry.ModelRegistry`
+versions them so a returning application skips calibration
+(Section 6.7).
 """
 
 from __future__ import annotations
@@ -23,192 +16,15 @@ import json
 import logging
 import os
 import pathlib
-import re
 import threading
-import zipfile
 import zlib
-from typing import List, Optional, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from repro.faults.context import get_injector
-from repro.runtime.controller import TradeoffEstimate
 
 PathLike = Union[str, pathlib.Path]
 
 logger = logging.getLogger(__name__)
-
-#: Version written into every record's metadata.  Bump when the record
-#: layout changes incompatibly; loaders skip records from the future.
-#: Version 1 records (no ``schema_version`` key) remain readable.
-SCHEMA_VERSION = 2
-
-_KEY_SANITIZER = re.compile(r"[^A-Za-z0-9._-]+")
-
-
-def _curve_crc(rates: np.ndarray, powers: np.ndarray) -> int:
-    """CRC-32 over both curves' raw bytes — the record integrity field."""
-    crc = zlib.crc32(np.ascontiguousarray(rates, dtype=float).tobytes())
-    return zlib.crc32(
-        np.ascontiguousarray(powers, dtype=float).tobytes(), crc)
-
-
-def _slug(text: str) -> str:
-    slug = _KEY_SANITIZER.sub("-", text).strip("-")
-    if not slug:
-        raise ValueError(f"cannot derive a storage key from {text!r}")
-    return slug
-
-
-class EstimateStore:
-    """A directory of persisted :class:`TradeoffEstimate` records.
-
-    Records are ``.npz`` files named ``{app}--{n}--{estimator}.npz``
-    with a JSON metadata sidecar embedded in the archive.  Loading
-    validates that the stored curve matches the requested configuration
-    count, so a model fitted on one space cannot silently drive another.
-    """
-
-    def __init__(self, directory: PathLike) -> None:
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, app_name: str, num_configs: int,
-              estimator_name: str) -> pathlib.Path:
-        return self.directory / (
-            f"{_slug(app_name)}--{num_configs}--"
-            f"{_slug(estimator_name)}.npz"
-        )
-
-    # ------------------------------------------------------------------
-    def save(self, app_name: str, estimate: TradeoffEstimate
-             ) -> pathlib.Path:
-        """Persist one estimate atomically; returns the record path.
-
-        The record is assembled in a sibling temporary file and moved
-        into place with ``os.replace``, so a concurrent :meth:`load`
-        sees either the previous record or this one, never a partial
-        write — even with several writers racing on the same key.
-        """
-        if estimate.rates.ndim != 1 or estimate.rates.shape != \
-                estimate.powers.shape:
-            raise ValueError("estimate curves must be aligned 1-D arrays")
-        path = self._path(app_name, estimate.rates.size,
-                          estimate.estimator_name)
-        meta = json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "app": app_name,
-            "estimator": estimate.estimator_name,
-            "sampling_time": estimate.sampling_time,
-            "sampling_energy": estimate.sampling_energy,
-            "fit_seconds": estimate.fit_seconds,
-            "crc32": _curve_crc(estimate.rates, estimate.powers),
-        })
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            with open(tmp, "wb") as handle:
-                np.savez_compressed(handle, rates=estimate.rates,
-                                    powers=estimate.powers,
-                                    meta=np.array(meta))
-            # Fault-injection hook: a torn write truncates the record's
-            # tail before it lands (what a crash mid-fsync or a buggy
-            # copier produces).  The reader must skip it with a warning.
-            for spec in get_injector().fire("persistence.write"):
-                if spec.kind == "partial-write":
-                    keep = max(int(tmp.stat().st_size
-                                   * min(max(spec.magnitude, 0.0), 1.0)), 1)
-                    with open(tmp, "rb+") as handle:
-                        handle.truncate(keep)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-        return path
-
-    def load(self, app_name: str, num_configs: int,
-             estimator_name: str) -> Optional[TradeoffEstimate]:
-        """Fetch a stored estimate, or ``None`` if absent.
-
-        An unreadable record — truncated archive, corrupt metadata, or
-        a ``schema_version`` newer than this code — also returns
-        ``None`` (with a warning) so a damaged store degrades to a
-        re-calibration instead of an unrelated crash mid-load.  A
-        *readable* record whose curve length disagrees with
-        ``num_configs`` still raises: that is a real keying bug, not
-        corruption.
-        """
-        path = self._path(app_name, num_configs, estimator_name)
-        if not path.exists():
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                rates = np.asarray(data["rates"], dtype=float)
-                powers = np.asarray(data["powers"], dtype=float)
-                meta = json.loads(str(data["meta"]))
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            logger.warning("skipping unreadable estimate record %s (%s)",
-                           path, exc)
-            return None
-        schema = meta.get("schema_version", 1)
-        if not isinstance(schema, int) or schema > SCHEMA_VERSION:
-            logger.warning(
-                "skipping estimate record %s with schema_version %r "
-                "(this build reads <= %d)", path, schema, SCHEMA_VERSION)
-            return None
-        stored_crc = meta.get("crc32")
-        if (stored_crc is not None
-                and stored_crc != _curve_crc(rates, powers)):
-            # The archive parsed but the curves do not match the CRC the
-            # writer recorded: silent corruption.  Treat as absent — the
-            # caller re-calibrates, which is always safe.
-            logger.warning("skipping estimate record %s with CRC mismatch "
-                           "(stored %s)", path, stored_crc)
-            return None
-        if rates.size != num_configs:
-            raise ValueError(
-                f"stored estimate for {app_name!r} covers {rates.size} "
-                f"configurations, expected {num_configs}"
-            )
-        return TradeoffEstimate(
-            rates=rates, powers=powers,
-            estimator_name=meta["estimator"],
-            sampling_time=meta.get("sampling_time", 0.0),
-            sampling_energy=meta.get("sampling_energy", 0.0),
-            fit_seconds=meta.get("fit_seconds", 0.0),
-        )
-
-    def delete(self, app_name: str, num_configs: int,
-               estimator_name: str) -> bool:
-        """Remove a record; returns whether one existed."""
-        path = self._path(app_name, num_configs, estimator_name)
-        if path.exists():
-            path.unlink()
-            return True
-        return False
-
-    def known_applications(self) -> List[str]:
-        """Application slugs with at least one stored record."""
-        names = {p.name.split("--")[0] for p in
-                 self.directory.glob("*--*--*.npz")
-                 if not p.name.startswith(".")}
-        return sorted(names)
-
-    def get_or_calibrate(self, app_name, controller, profile
-                         ) -> TradeoffEstimate:
-        """Load a stored estimate or calibrate-and-store a fresh one.
-
-        The amortization pattern of Section 6.7 across process
-        lifetimes: the first run pays the calibration cost, every later
-        run starts from the persisted model.
-        """
-        cached = self.load(app_name, len(controller.space),
-                           controller.estimator.name)
-        if cached is not None:
-            return cached
-        estimate = controller.calibrate(profile)
-        self.save(app_name, estimate)
-        return estimate
 
 
 class CheckpointManager:
@@ -263,27 +79,18 @@ class CheckpointManager:
         return True
 
     def save(self, payload: dict) -> None:
-        """Write one checkpoint atomically (temp file + ``os.replace``).
-
-        The envelope carries a ``written_unix`` timestamp from the
-        ambient clock — *outside* the CRC'd payload, so it never
-        perturbs resume state or bit-equality checks, and a virtual
-        clock stamps checkpoints in simulated time (the soak harness
-        reads checkpoint age off it).
-        """
-        from repro.clock import get_clock
-
+        """Write one checkpoint atomically (temp file + ``os.replace``)."""
         body = self._canonical(payload)
         envelope = json.dumps({"crc32": zlib.crc32(body),
-                               "written_unix": get_clock().time(),
                                "payload": payload})
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(
             f".{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             tmp.write_text(envelope, encoding="utf-8")
-            # Fault-injection hook: same torn-write fault as the
-            # estimate store; load() must detect and skip it.
+            # Fault-injection hook: a torn write truncates the file's
+            # tail before it lands (what a crash mid-fsync or a buggy
+            # copier produces); load() must detect and skip it.
             for spec in get_injector().fire("persistence.write"):
                 if spec.kind == "partial-write":
                     keep = max(int(tmp.stat().st_size
@@ -319,22 +126,6 @@ class CheckpointManager:
                            self.path)
             return None
         return payload
-
-    def written_unix(self) -> Optional[float]:
-        """The on-disk checkpoint's envelope timestamp, or ``None``.
-
-        ``None`` for missing or unreadable files — and for checkpoints
-        written before the envelope carried a timestamp, which still
-        load fine (``load`` only reads ``crc32`` and ``payload``).
-        """
-        if not self.path.exists():
-            return None
-        try:
-            envelope = json.loads(self.path.read_text(encoding="utf-8"))
-            stamp = envelope.get("written_unix")
-        except (OSError, ValueError, AttributeError):
-            return None
-        return float(stamp) if stamp is not None else None
 
     def clear(self) -> bool:
         """Delete the checkpoint (e.g. after a completed run)."""

@@ -16,9 +16,8 @@ Layers (see docs/SERVICE.md for the protocol and operational reference):
   JSON text ``repro request`` reads and prints.
 * :mod:`repro.service.frames` — the wire: length-prefixed,
   CRC-checked binary frames with bit-exact float64s.
-* :mod:`repro.service.registry` — :class:`ModelRegistry`, a versioned,
-  schema-checked model store layered on
-  :class:`repro.runtime.persistence.EstimateStore`.
+* :mod:`repro.service.registry` — :class:`ModelRegistry`, the
+  versioned, schema-checked, CRC-guarded store of fitted models.
 * :mod:`repro.service.server` — :class:`EstimationService` (op handlers
   + admission control + request coalescing) behind
   :class:`ServiceServer` (asyncio transport) and :class:`ServerThread`
@@ -34,7 +33,7 @@ Quickstart::
     from repro.service import RemoteEstimator, ServerThread, ServiceClient
 
     with ServerThread() as server:
-        client = ServiceClient(server.address)
+        client = ServiceClient(server.bound_address)
         controller = RuntimeController(machine, space,
                                        estimator=RemoteEstimator(client),
                                        prior_rates=..., prior_powers=...)
@@ -66,7 +65,7 @@ from repro.service.protocol import (
     problem_from_payload,
     problem_to_payload,
 )
-from repro.service.registry import ModelRecord, ModelRegistry, PriorPool
+from repro.service.registry import ModelRecord, ModelRegistry
 from repro.service.server import EstimationService, ServerThread, ServiceServer
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "FrameError",
     "ModelRecord",
     "ModelRegistry",
-    "PriorPool",
     "ProtocolError",
     "RemoteError",
     "RemoteEstimator",

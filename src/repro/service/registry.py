@@ -1,36 +1,36 @@
 """The service's versioned model registry.
 
-Layered on :class:`repro.runtime.persistence.EstimateStore`: the store
-keeps the *latest* record per (application, config-space size,
-estimator) as the fast warm-start path, while the registry adds an
-append-only, schema-versioned JSON history so a published model is never
-overwritten — a returning tenant reads the newest version, an auditor
-can read every version that ever served traffic.
+The one on-disk copy of a fitted model: an append-only, schema-versioned
+JSON history per (application, config-space size, estimator), so a
+published model is never overwritten — a returning tenant reads the
+newest version, an auditor can read every version that ever served
+traffic.
 
 On-disk layout::
 
     registry/
-      latest/                       # EstimateStore write-through (.npz)
-        {app}--{n}--{estimator}.npz
+      latest/
+        {app}--{n}--{estimator}.json  # hard link to the newest version
       models/
         {app}--{n}--{estimator}/
           v000001.json              # one immutable record per publish
           v000002.json
-      pools/
-        {space-key}/
-          v000001.npz               # versioned prior pools (M x n tables)
 
 Version files are immutable once written: a publish assembles the record
 in a temporary file and links it into place with ``os.link`` (atomic,
 refuses to clobber), retrying on the next free version number when two
-publishers race.  Readers skip records they cannot interpret — corrupt
-JSON, missing fields, or a ``schema_version`` from the future — and
-fall back to the newest *valid* version, mirroring the tolerant loading
-of the underlying :class:`EstimateStore`.
+publishers race.  ``latest/`` holds a second name for the newest version
+file, not a second copy, so a warm read opens one file however long the
+history grows.  Every record carries a CRC-32 of its curves.  Readers
+skip records they cannot interpret — corrupt JSON, missing fields, a CRC
+mismatch, curves that do not cover the record's configuration count, or
+a ``schema_version`` from the future — and fall back to the newest
+*valid* version.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -38,15 +38,13 @@ import os
 import pathlib
 import re
 import threading
-import time
-import zipfile
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+import zlib
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.clock import get_clock
 from repro.runtime.controller import TradeoffEstimate
-from repro.runtime.persistence import EstimateStore, _slug
 
 PathLike = Union[str, pathlib.Path]
 
@@ -56,7 +54,21 @@ logger = logging.getLogger(__name__)
 REGISTRY_SCHEMA_VERSION = 1
 
 _VERSION_FILE = re.compile(r"^v(\d{6})\.json$")
-_POOL_FILE = re.compile(r"^v(\d{6})\.npz$")
+_KEY_SANITIZER = re.compile(r"[^A-Za-z0-9._-]+")
+
+
+def _slug(text: str) -> str:
+    slug = _KEY_SANITIZER.sub("-", text).strip("-")
+    if not slug:
+        raise ValueError(f"cannot derive a storage key from {text!r}")
+    return slug
+
+
+def _curve_crc(rates: np.ndarray, powers: np.ndarray) -> int:
+    """CRC-32 over both curves' raw bytes — the record integrity field."""
+    crc = zlib.crc32(np.ascontiguousarray(rates, dtype=float).tobytes())
+    return zlib.crc32(
+        np.ascontiguousarray(powers, dtype=float).tobytes(), crc)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,35 +114,36 @@ class ModelRecord:
             "version": self.version,
             "rates": self.rates.tolist(),
             "powers": self.powers.tolist(),
+            "crc32": _curve_crc(self.rates, self.powers),
             "metadata": self.metadata,
             "created_unix": self.created_unix,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ModelRecord":
+        """Rebuild a record; raises ``ValueError`` on curves that are
+        misaligned, do not cover ``num_configs``, or fail their CRC (a
+        record written before the CRC field still loads)."""
         rates = np.asarray(payload["rates"], dtype=float)
         powers = np.asarray(payload["powers"], dtype=float)
+        num_configs = int(payload["num_configs"])
         if rates.ndim != 1 or rates.shape != powers.shape:
             raise ValueError("record curves must be aligned 1-D arrays")
+        if rates.size != num_configs:
+            raise ValueError(f"record curves cover {rates.size} "
+                             f"configurations, expected {num_configs}")
+        stored_crc = payload.get("crc32")
+        if stored_crc is not None and stored_crc != _curve_crc(rates,
+                                                               powers):
+            raise ValueError(f"curve CRC mismatch (stored {stored_crc})")
         return cls(
             app=str(payload["app"]), estimator=str(payload["estimator"]),
-            num_configs=int(payload["num_configs"]),
+            num_configs=num_configs,
             version=int(payload["version"]),
             rates=rates, powers=powers,
             metadata=dict(payload.get("metadata", {})),
             created_unix=float(payload.get("created_unix", 0.0)),
         )
-
-
-@dataclasses.dataclass(frozen=True)
-class PriorPool:
-    """A versioned offline profiling table: ``(M, n)`` rates and powers."""
-
-    space_key: str
-    version: int
-    names: Tuple[str, ...]
-    rates: np.ndarray
-    powers: np.ndarray
 
 
 class ModelRegistry:
@@ -139,12 +152,8 @@ class ModelRegistry:
     def __init__(self, directory: PathLike) -> None:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: Warm-start write-through: the newest record per key as an
-        #: :class:`EstimateStore` npz, loadable without touching the
-        #: version history.
-        self.store = EstimateStore(self.directory / "latest")
         self._models_dir = self.directory / "models"
-        self._pools_dir = self.directory / "pools"
+        self._latest_dir = self.directory / "latest"
 
     # ------------------------------------------------------------------
     # Keys and paths
@@ -156,14 +165,18 @@ class ModelRegistry:
                    estimator: str) -> pathlib.Path:
         return self._models_dir / self._key(app, num_configs, estimator)
 
+    def _latest_link(self, app: str, num_configs: int,
+                     estimator: str) -> pathlib.Path:
+        return self._latest_dir / (
+            self._key(app, num_configs, estimator) + ".json")
+
     @staticmethod
-    def _versions_in(directory: pathlib.Path,
-                     pattern: re.Pattern) -> List[int]:
+    def _versions_in(directory: pathlib.Path) -> List[int]:
         if not directory.is_dir():
             return []
         versions = []
         for entry in directory.iterdir():
-            match = pattern.match(entry.name)
+            match = _VERSION_FILE.match(entry.name)
             if match:
                 versions.append(int(match.group(1)))
         return sorted(versions)
@@ -172,14 +185,14 @@ class ModelRegistry:
                  estimator: str) -> List[int]:
         """Published version numbers for one key, ascending."""
         return self._versions_in(self._model_dir(app, num_configs,
-                                                 estimator), _VERSION_FILE)
+                                                 estimator))
 
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
     def publish(self, app: str, estimate: TradeoffEstimate,
                 metadata: Optional[Dict[str, Any]] = None) -> ModelRecord:
-        """Append a new immutable version and refresh the warm-start store.
+        """Append a new immutable version and point ``latest/`` at it.
 
         Returns the published record (with its allocated version).  Safe
         against concurrent publishers on the same key: version files are
@@ -200,8 +213,9 @@ class ModelRegistry:
         tmp = directory / (f".publish.{os.getpid()}."
                            f"{threading.get_ident()}.tmp")
         record: Optional[ModelRecord] = None
+        linked = True
         try:
-            existing = self._versions_in(directory, _VERSION_FILE)
+            existing = self._versions_in(directory)
             version = (existing[-1] + 1) if existing else 1
             while True:
                 record = ModelRecord(
@@ -221,12 +235,44 @@ class ModelRegistry:
                     # Filesystem without hard links: fall back to a
                     # replace, accepting last-writer-wins on a collision.
                     os.replace(tmp, target)
+                    linked = False
                     break
         finally:
             if tmp.exists():
                 tmp.unlink()
-        self.store.save(app, record.to_estimate())
+        self._repoint_latest(
+            self._latest_link(app, rates.size, estimate.estimator_name),
+            target if linked else None)
         return record
+
+    @staticmethod
+    def _repoint_latest(link: pathlib.Path,
+                        target: Optional[pathlib.Path]) -> None:
+        """Make ``link`` a second name for the version file ``target``.
+
+        Linked under a temporary name, then moved over the old link with
+        ``os.replace``, so a warm read sees the previous version or this
+        one.  Two racing publishers can leave the link on the older of
+        their two versions until the next publish; a copied "latest"
+        file would have the same race.  Without hard links (``target``
+        is ``None``) or on failure, the old link is removed: warm reads
+        then scan the history instead of serving a stale version.
+        """
+        if target is not None:
+            tmp = link.with_name(
+                f".{link.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+            try:
+                link.parent.mkdir(exist_ok=True)
+                os.link(target, tmp)
+                os.replace(tmp, link)
+                return
+            except OSError as exc:
+                logger.warning("could not re-point %s (%s); warm reads "
+                               "scan the history", link, exc)
+                with contextlib.suppress(OSError):
+                    tmp.unlink()
+        with contextlib.suppress(OSError):
+            link.unlink()
 
     # ------------------------------------------------------------------
     # Reading
@@ -253,7 +299,7 @@ class ModelRegistry:
                estimator: str) -> Optional[ModelRecord]:
         """The newest valid record for a key, or ``None``."""
         directory = self._model_dir(app, num_configs, estimator)
-        for version in reversed(self._versions_in(directory, _VERSION_FILE)):
+        for version in reversed(self._versions_in(directory)):
             record = self._read_record(directory / f"v{version:06d}.json")
             if record is not None:
                 return record
@@ -264,7 +310,7 @@ class ModelRegistry:
         """Every valid record for a key, oldest first."""
         directory = self._model_dir(app, num_configs, estimator)
         records = []
-        for version in self._versions_in(directory, _VERSION_FILE):
+        for version in self._versions_in(directory):
             record = self._read_record(directory / f"v{version:06d}.json")
             if record is not None:
                 records.append(record)
@@ -274,14 +320,14 @@ class ModelRegistry:
                       estimator: str) -> Optional[TradeoffEstimate]:
         """Warm-start lookup: the latest model as a ready estimate.
 
-        Tries the :class:`EstimateStore` fast path first (one npz read),
-        falling back to the version history when the write-through copy
-        is missing or unreadable.
+        Reads the ``latest/`` link (one file, however many versions the
+        key has), falling back to the version history when the link is
+        missing or its record is unreadable.
         """
-        estimate = self.store.load(app, num_configs, estimator)
-        if estimate is not None:
-            return estimate
-        record = self.latest(app, num_configs, estimator)
+        link = self._latest_link(app, num_configs, estimator)
+        record = self._read_record(link) if link.exists() else None
+        if record is None:
+            record = self.latest(app, num_configs, estimator)
         return record.to_estimate() if record is not None else None
 
     def known_models(self) -> List[Dict[str, Any]]:
@@ -292,7 +338,7 @@ class ModelRegistry:
                 parts = directory.name.split("--")
                 if len(parts) != 3 or not directory.is_dir():
                     continue
-                versions = self._versions_in(directory, _VERSION_FILE)
+                versions = self._versions_in(directory)
                 if not versions:
                     continue
                 rows.append({
@@ -303,71 +349,3 @@ class ModelRegistry:
                     "latest_version": versions[-1],
                 })
         return rows
-
-    # ------------------------------------------------------------------
-    # Prior pools
-    # ------------------------------------------------------------------
-    def publish_prior_pool(self, space_key: str, names: Sequence[str],
-                           rates: np.ndarray,
-                           powers: np.ndarray) -> PriorPool:
-        """Version an ``(M, n)`` offline profiling table for a space."""
-        rates = np.asarray(rates, dtype=float)
-        powers = np.asarray(powers, dtype=float)
-        if rates.ndim != 2 or rates.shape != powers.shape:
-            raise ValueError("prior pool tables must be aligned 2-D arrays")
-        if len(names) != rates.shape[0]:
-            raise ValueError(
-                f"{len(names)} names for {rates.shape[0]} pool rows")
-        directory = self._pools_dir / _slug(space_key)
-        directory.mkdir(parents=True, exist_ok=True)
-        meta = json.dumps({"schema_version": REGISTRY_SCHEMA_VERSION,
-                           "space_key": space_key,
-                           "names": list(names),
-                           "created_unix": get_clock().time()})
-        tmp = directory / (f".publish.{os.getpid()}."
-                           f"{threading.get_ident()}.tmp")
-        try:
-            with open(tmp, "wb") as handle:
-                np.savez_compressed(handle, rates=rates, powers=powers,
-                                    meta=np.array(meta))
-            existing = self._versions_in(directory, _POOL_FILE)
-            version = (existing[-1] + 1) if existing else 1
-            while True:
-                target = directory / f"v{version:06d}.npz"
-                try:
-                    os.link(tmp, target)
-                    break
-                except FileExistsError:
-                    version += 1
-                except OSError:
-                    os.replace(tmp, target)
-                    break
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-        return PriorPool(space_key=space_key, version=version,
-                         names=tuple(names), rates=rates, powers=powers)
-
-    def latest_prior_pool(self, space_key: str) -> Optional[PriorPool]:
-        """The newest valid prior pool for a space, or ``None``."""
-        directory = self._pools_dir / _slug(space_key)
-        for version in reversed(self._versions_in(directory, _POOL_FILE)):
-            path = directory / f"v{version:06d}.npz"
-            try:
-                with np.load(path, allow_pickle=False) as data:
-                    rates = np.asarray(data["rates"], dtype=float)
-                    powers = np.asarray(data["powers"], dtype=float)
-                    meta = json.loads(str(data["meta"]))
-                schema = meta.get("schema_version", 1)
-                if not isinstance(schema, int) or schema > \
-                        REGISTRY_SCHEMA_VERSION:
-                    logger.warning("skipping prior pool %s with "
-                                   "schema_version %r", path, schema)
-                    continue
-                return PriorPool(space_key=space_key, version=version,
-                                 names=tuple(meta.get("names", ())),
-                                 rates=rates, powers=powers)
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-                logger.warning("skipping unreadable prior pool %s (%s)",
-                               path, exc)
-        return None

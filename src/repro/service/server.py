@@ -262,8 +262,9 @@ class EstimationService:
     def _op_registry_list(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         if self.registry is None:
             return {"models": [], "applications": []}
-        return {"models": self.registry.known_models(),
-                "applications": self.registry.store.known_applications()}
+        models = self.registry.known_models()
+        return {"models": models,
+                "applications": sorted({row["app"] for row in models})}
 
 
 def map_exception(exc: BaseException) -> ServiceError:

@@ -172,9 +172,9 @@ class RegistryReplica:
         """
         if not self._ensure_fresh():
             return self.leader.warm_estimate(app, num_configs, estimator)
-        # The replica pulls version files only (the leader's "latest"
-        # npz write-through is mutable, hence not linkable); its own
-        # warm_estimate falls back to the version history it holds.
+        # The replica pulls version files only and keeps no latest/
+        # link of its own, so its warm_estimate scans the version
+        # history it holds.
         return self.registry.warm_estimate(app, num_configs, estimator)
 
     def latest(self, app: str, num_configs: int,
@@ -189,7 +189,7 @@ class ReplicatedRegistry:
 
     Duck-types the :class:`ModelRegistry` surface the
     :class:`~repro.service.server.EstimationService` consumes
-    (``publish``, ``warm_estimate``, ``known_models``, ``store``), so a
+    (``publish``, ``warm_estimate``, ``known_models``), so a
     shard's service runs against replication without knowing it.
 
     Args:
@@ -206,17 +206,9 @@ class ReplicatedRegistry:
             if self.replicas else None
 
     # -- writes (leader only) -------------------------------------------
-    @property
-    def store(self):
-        """The leader's warm-start write-through store."""
-        return self.leader.store
-
     def publish(self, app: str, estimate,
                 metadata: Optional[Dict[str, Any]] = None) -> ModelRecord:
         return self.leader.publish(app, estimate, metadata)
-
-    def publish_prior_pool(self, *args, **kwargs):
-        return self.leader.publish_prior_pool(*args, **kwargs)
 
     # -- scaled reads (replicas) ----------------------------------------
     def warm_estimate(self, app: str, num_configs: int, estimator: str):
@@ -239,9 +231,6 @@ class ReplicatedRegistry:
 
     def known_models(self) -> List[Dict[str, Any]]:
         return self.leader.known_models()
-
-    def latest_prior_pool(self, space_key: str):
-        return self.leader.latest_prior_pool(space_key)
 
     def sync_all(self) -> int:
         """Force-sync every replica; returns total files pulled."""

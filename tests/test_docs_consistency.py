@@ -120,6 +120,44 @@ class TestCliExamples:
         assert not broken, broken
 
 
+#: The first line of a ``from repro... import`` or ``import repro...``
+#: statement in a fenced block.
+IMPORT_LINE = re.compile(
+    r"^\s*(from\s+repro\b[\w.]*\s+import\b|import\s+repro\b)")
+
+
+def _import_statements():
+    """``(file, statement)`` for each repro import in README's and docs'
+    fences; a parenthesized import spanning lines is one statement."""
+    statements = []
+    for path in [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md")):
+        fences = re.findall(r"^```[^\n]*\n(.*?)^```", path.read_text(),
+                            flags=re.S | re.M)
+        for fence in fences:
+            lines = iter(fence.splitlines())
+            for line in lines:
+                if not IMPORT_LINE.match(line):
+                    continue
+                statement = line.strip()
+                while "(" in statement and ")" not in statement:
+                    statement += " " + next(lines).strip()
+                statements.append((path.name, statement))
+    return statements
+
+
+class TestDocImports:
+    def test_every_fenced_import_resolves(self):
+        statements = _import_statements()
+        assert statements, "no repro imports found in the docs"
+        broken = []
+        for name, statement in statements:
+            try:
+                exec(compile(statement, name, "exec"), {})
+            except ImportError as exc:
+                broken.append(f"{name}: {statement} ({exc})")
+        assert not broken, broken
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_repro(self):
         result = subprocess.run(

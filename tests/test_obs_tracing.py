@@ -1,5 +1,6 @@
 """Tests for repro.obs tracing: spans, nesting, persistence, null path."""
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -98,6 +99,18 @@ class TestJsonlRoundTrip:
         assert by_name["inner"].parent_id == by_name["outer"].span_id
         assert by_name["inner"].duration == pytest.approx(
             next(s for s in tracer.spans if s.name == "inner").duration)
+
+    def test_numpy_attributes_round_trip(self, tmp_path):
+        tracer = Tracer()
+        with tracer.span("fit", curve=np.arange(3.0),
+                         loglik=np.float64(-1.5)):
+            pass
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, tracer.spans)
+        (loaded,) = read_trace(path)
+        assert loaded.attributes == {"curve": [0.0, 1.0, 2.0],
+                                     "loglik": -1.5}
+        assert isinstance(loaded.attributes["loglik"], float)
 
     def test_read_trace_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -1,8 +1,9 @@
 """Property-based tests for the data-plumbing layers.
 
 Covers ObservationSet mask grouping, HeartbeatMonitor rate arithmetic,
-the estimate store's round-trip, and the CSV exporter — the pieces whose
-bugs would silently corrupt experiments rather than crash them.
+the model registry's publish/warm-read round-trip, and the CSV exporter
+— the pieces whose bugs would silently corrupt experiments rather than
+crash them.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.observation import ObservationSet
 from repro.reporting.csv_export import read_series, write_series
 from repro.runtime.controller import TradeoffEstimate
-from repro.runtime.persistence import EstimateStore
+from repro.service.registry import ModelRegistry
 from repro.telemetry.heartbeats import HeartbeatMonitor
 
 
@@ -84,18 +85,18 @@ class TestStoreProperties:
     def test_roundtrip_preserves_curves(self, tmp_path_factory, n, seed,
                                         raw_name):
         rng = np.random.default_rng(seed)
-        store = EstimateStore(tmp_path_factory.mktemp("store"))
+        registry = ModelRegistry(tmp_path_factory.mktemp("store"))
         estimate = TradeoffEstimate(
             rates=rng.uniform(0.1, 100, n),
             powers=rng.uniform(50, 400, n),
             estimator_name="leo")
         try:
-            store.save(raw_name, estimate)
+            registry.publish(raw_name, estimate)
         except ValueError:
             return  # unsanitizable name: acceptable rejection
-        loaded = store.load(raw_name, n, "leo")
-        np.testing.assert_allclose(loaded.rates, estimate.rates)
-        np.testing.assert_allclose(loaded.powers, estimate.powers)
+        loaded = registry.warm_estimate(raw_name, n, "leo")
+        np.testing.assert_array_equal(loaded.rates, estimate.rates)
+        np.testing.assert_array_equal(loaded.powers, estimate.powers)
 
 
 class TestCsvProperties:

@@ -1,17 +1,14 @@
 """Tests for repro.service.registry (the versioned model registry)."""
 
 import json
+import os
 import threading
 
 import numpy as np
 import pytest
 
 from repro.runtime.controller import TradeoffEstimate
-from repro.service.registry import (
-    REGISTRY_SCHEMA_VERSION,
-    ModelRegistry,
-    PriorPool,
-)
+from repro.service.registry import REGISTRY_SCHEMA_VERSION, ModelRegistry
 
 
 def _estimate(n=8, fill=1.0, name="leo"):
@@ -101,14 +98,65 @@ class TestWarmStart:
         warm = reg.warm_estimate("kmeans", 8, "leo")
         np.testing.assert_array_equal(warm.rates, np.full(8, 5.0))
 
+    def test_latest_link_is_the_newest_version_file(self, tmp_path):
+        reg = ModelRegistry(tmp_path)
+        for fill in (1.0, 2.0, 3.0):
+            record = reg.publish("kmeans", _estimate(fill=fill))
+        newest = (reg._model_dir("kmeans", 8, "leo")
+                  / f"v{record.version:06d}.json")
+        link = tmp_path / "latest" / "kmeans--8--leo.json"
+        assert os.path.samefile(link, newest)
+        assert list(tmp_path.rglob("*.npz")) == []
+
     def test_warm_falls_back_to_history_when_store_damaged(self, tmp_path):
         reg = ModelRegistry(tmp_path)
+        reg.publish("kmeans", _estimate(fill=4.0))
         reg.publish("kmeans", _estimate(fill=5.0))
-        # Wreck the write-through npz; the version history still serves.
-        store_path = reg.store._path("kmeans", 8, "leo")
-        store_path.write_bytes(b"garbage")
+        # Wreck the newest record (the link and v2 are one file); the
+        # older version still serves.
+        reg._latest_link("kmeans", 8, "leo").write_bytes(b"garbage")
         warm = reg.warm_estimate("kmeans", 8, "leo")
         assert warm is not None
+        np.testing.assert_array_equal(warm.rates, np.full(8, 4.0))
+
+    def test_warm_falls_back_to_history_when_link_missing(self, tmp_path):
+        reg = ModelRegistry(tmp_path)
+        reg.publish("kmeans", _estimate(fill=4.0))
+        reg.publish("kmeans", _estimate(fill=5.0))
+        reg._latest_link("kmeans", 8, "leo").unlink()
+        warm = reg.warm_estimate("kmeans", 8, "leo")
+        np.testing.assert_array_equal(warm.rates, np.full(8, 5.0))
+
+    def test_failed_repoint_removes_the_stale_link(self, tmp_path,
+                                                   monkeypatch, caplog):
+        reg = ModelRegistry(tmp_path)
+        reg.publish("kmeans", _estimate(fill=4.0))
+
+        def no_replace(src, dst):
+            raise OSError("injected replace failure")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        with caplog.at_level("WARNING"):
+            reg.publish("kmeans", _estimate(fill=5.0))
+        assert "re-point" in caplog.text
+        assert list((tmp_path / "latest").iterdir()) == []
+        warm = reg.warm_estimate("kmeans", 8, "leo")
+        np.testing.assert_array_equal(warm.rates, np.full(8, 5.0))
+
+    def test_without_hard_links_warm_reads_scan_the_history(
+            self, tmp_path, monkeypatch):
+        def no_link(src, dst):
+            raise PermissionError("hard links unsupported")
+
+        reg = ModelRegistry(tmp_path)
+        reg.publish("kmeans", _estimate(fill=4.0))
+        # The registry moves to a filesystem without hard links: the
+        # old link must not keep serving version 1.
+        monkeypatch.setattr(os, "link", no_link)
+        reg.publish("kmeans", _estimate(fill=5.0))
+        assert reg.versions("kmeans", 8, "leo") == [1, 2]
+        assert list((tmp_path / "latest").iterdir()) == []
+        warm = reg.warm_estimate("kmeans", 8, "leo")
         np.testing.assert_array_equal(warm.rates, np.full(8, 5.0))
 
 
@@ -136,6 +184,42 @@ class TestTolerantReads:
         path.write_text(json.dumps(payload))
         assert reg.latest("kmeans", 8, "leo").version == 1
         assert len(reg.history("kmeans", 8, "leo")) == 1
+
+    def _edit_newest(self, reg, edit):
+        """Publish fills 1 then 2; rewrite v2's record with ``edit``."""
+        reg.publish("kmeans", _estimate(fill=1.0))
+        record = reg.publish("kmeans", _estimate(fill=2.0))
+        path = (reg._model_dir("kmeans", 8, "leo")
+                / f"v{record.version:06d}.json")
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+
+    def test_crc_mismatch_skipped_for_older_valid(self, tmp_path, caplog):
+        reg = ModelRegistry(tmp_path)
+        self._edit_newest(reg, lambda p: p["rates"].__setitem__(0, 9.0))
+        with caplog.at_level("WARNING"):
+            assert reg.latest("kmeans", 8, "leo").version == 1
+        assert "CRC mismatch" in caplog.text
+        warm = reg.warm_estimate("kmeans", 8, "leo")
+        np.testing.assert_array_equal(warm.rates, np.full(8, 1.0))
+
+    def test_short_curves_skipped_for_older_valid(self, tmp_path, caplog):
+        reg = ModelRegistry(tmp_path)
+        self._edit_newest(reg, lambda p: p.update(num_configs=16))
+        with caplog.at_level("WARNING"):
+            assert reg.latest("kmeans", 8, "leo").version == 1
+        assert "cover 8 configurations, expected 16" in caplog.text
+        warm = reg.warm_estimate("kmeans", 8, "leo")
+        np.testing.assert_array_equal(warm.rates, np.full(8, 1.0))
+
+    def test_record_without_crc_still_loads(self, tmp_path):
+        reg = ModelRegistry(tmp_path)
+        self._edit_newest(reg, lambda p: p.pop("crc32"))
+        assert REGISTRY_SCHEMA_VERSION == 1
+        assert reg.latest("kmeans", 8, "leo").version == 2
+        warm = reg.warm_estimate("kmeans", 8, "leo")
+        np.testing.assert_array_equal(warm.rates, np.full(8, 2.0))
 
     def test_all_versions_unreadable_returns_none(self, tmp_path):
         reg = ModelRegistry(tmp_path)
@@ -180,38 +264,3 @@ class TestConcurrentPublishers:
         leftovers = [p for p in reg._model_dir("kmeans", 8, "leo").iterdir()
                      if p.name.startswith(".")]
         assert leftovers == []
-
-
-class TestPriorPools:
-    def test_publish_and_load(self, tmp_path):
-        reg = ModelRegistry(tmp_path)
-        rates = np.arange(12.0).reshape(3, 4) + 1.0
-        powers = rates * 10.0
-        pool = reg.publish_prior_pool("cores", ["a", "b", "c"],
-                                      rates, powers)
-        assert isinstance(pool, PriorPool)
-        assert pool.version == 1
-        back = reg.latest_prior_pool("cores")
-        assert back.names == ("a", "b", "c")
-        np.testing.assert_array_equal(back.rates, rates)
-        np.testing.assert_array_equal(back.powers, powers)
-
-    def test_versions_advance(self, tmp_path):
-        reg = ModelRegistry(tmp_path)
-        table = np.ones((2, 4))
-        reg.publish_prior_pool("cores", ["a", "b"], table, table)
-        pool = reg.publish_prior_pool("cores", ["a", "b"],
-                                      table * 2, table * 2)
-        assert pool.version == 2
-        assert reg.latest_prior_pool("cores").version == 2
-
-    def test_missing_pool_returns_none(self, tmp_path):
-        assert ModelRegistry(tmp_path).latest_prior_pool("nope") is None
-
-    def test_shape_validation(self, tmp_path):
-        reg = ModelRegistry(tmp_path)
-        with pytest.raises(ValueError, match="2-D"):
-            reg.publish_prior_pool("cores", ["a"], np.ones(4), np.ones(4))
-        with pytest.raises(ValueError, match="names"):
-            reg.publish_prior_pool("cores", ["a"], np.ones((2, 4)),
-                                   np.ones((2, 4)))

@@ -14,6 +14,7 @@ import pytest
 
 from repro.estimators import LEOEstimator, register, unregister
 from repro.estimators.base import EstimationProblem, Estimator
+from repro.runtime.controller import TradeoffEstimate
 from repro.service import (
     DeadlineExceeded,
     EstimationService,
@@ -287,6 +288,23 @@ class TestServiceDirect:
     def test_registry_list_without_registry(self):
         payload = EstimationService().handle(Request(op="registry-list"))
         assert payload == {"models": [], "applications": []}
+
+    def test_registry_list_after_publishes(self, tmp_path):
+        registry = ModelRegistry(tmp_path / "reg")
+        for app in ("kmeans", "kmeans", "swish"):
+            registry.publish(app, TradeoffEstimate(
+                rates=np.ones(8), powers=np.ones(8), estimator_name="leo"))
+        service = EstimationService(registry=registry)
+        payload = service.handle(Request(op="registry-list"))
+        assert payload == {
+            "models": [
+                {"app": "kmeans", "num_configs": 8, "estimator": "leo",
+                 "versions": 2, "latest_version": 2},
+                {"app": "swish", "num_configs": 8, "estimator": "leo",
+                 "versions": 1, "latest_version": 1},
+            ],
+            "applications": ["kmeans", "swish"],
+        }
 
 
 class TestLifecycle:
