@@ -26,6 +26,7 @@ Two accounting modes are supported:
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,8 +120,9 @@ class EnergyMinimizer:
         """The uninstrumented hull walk behind :meth:`solve`."""
         if work < 0:
             raise ValueError(f"work must be >= 0, got {work}")
-        if deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
+        if not math.isfinite(deadline) or deadline <= 0:
+            raise ValueError(
+                f"deadline must be positive and finite, got {deadline}")
         required = work / deadline
         if required > self.max_rate * (1 + 1e-12):
             raise InfeasibleConstraintError(required, self.max_rate)

@@ -19,11 +19,19 @@ is reached" (Section 5.3).  This module implements both steps:
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import get_metrics, start_timer, stop_timer
+
+# Clouds of at most this many configurations go straight to the monotone
+# chain, because the numpy candidate prefilter only pays off on larger
+# ones.  Per hull on a 2-vCPU VM: 35 us against the chain's 23 us at 4
+# points, within noise of it from 20 to 32 points, and 198 us against
+# 1015 us at 1024.
+_SMALL_CLOUD = 32
 
 
 def pareto_optimal_mask(rates: Sequence[float],
@@ -88,18 +96,53 @@ class TradeoffFrontier:
             raise ValueError("all configuration rates must be positive")
         if np.any(p <= 0):
             raise ValueError("all configuration powers must be positive")
-        points: List[Tuple[float, float, Optional[int]]] = [
-            (float(r[i]), float(p[i]), i) for i in range(r.size)
-        ]
         if idle_power is not None:
+            if not math.isfinite(idle_power):
+                raise ValueError(f"idle_power must be finite, got {idle_power}")
             if idle_power < 0:
                 raise ValueError(f"idle_power must be >= 0, got {idle_power}")
-            points.append((0.0, float(idle_power), None))
         self.idle_power = idle_power
         started = start_timer()
+        if r.size <= _SMALL_CLOUD:
+            points: List[Tuple[float, float, Optional[int]]] = [
+                (float(r[i]), float(p[i]), i) for i in range(r.size)
+            ]
+            if idle_power is not None:
+                points.append((0.0, float(idle_power), None))
+        else:
+            points = self._hull_candidates(r, p, idle_power)
         self._vertices = self._lower_hull(points)
         stop_timer("hull_build_seconds", started)
         get_metrics().set_gauge("hull_vertices", len(self._vertices))
+
+    @staticmethod
+    def _hull_candidates(r: np.ndarray, p: np.ndarray,
+                         idle_power: Optional[float]
+                         ) -> List[Tuple[float, float, Optional[int]]]:
+        """The points that can be lower-hull vertices, sorted by rate.
+
+        Sorts by (rate, power), keeps the first point of each rate, then
+        keeps a point only if its power is a strict running minimum from
+        the left or from the right: any other point has a point at least
+        as cheap on each side and so lies on or above their chord.
+        """
+        n = r.size
+        if idle_power is not None:
+            r = np.append(r, 0.0)
+            p = np.append(p, idle_power)
+        order = np.lexsort((p, r))  # stable, as the chain's sort is
+        rs = r[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = rs[1:] != rs[:-1]
+        order = order[first]
+        ps = p[order]
+        keep = np.ones(order.size, dtype=bool)
+        keep[1:] = ps[1:] < np.minimum.accumulate(ps[:-1])
+        keep[:-1] |= ps[:-1] < np.minimum.accumulate(ps[:0:-1])[::-1]
+        keep[-1] = True
+        order = order[keep]
+        return [(x, y, i if i < n else None) for x, y, i in
+                zip(r[order].tolist(), p[order].tolist(), order.tolist())]
 
     @staticmethod
     def _lower_hull(points: List[Tuple[float, float, Optional[int]]]

@@ -58,6 +58,8 @@ class TestHullSolve:
             simple.solve(work=-1.0, deadline=10.0)
         with pytest.raises(ValueError):
             simple.solve(work=1.0, deadline=0.0)
+        with pytest.raises(ValueError, match="deadline"):
+            simple.solve(work=1.0, deadline=np.inf)
 
     def test_min_energy_includes_idle_window(self, simple):
         # Demand achievable by the efficient config in 5 of 10 seconds:

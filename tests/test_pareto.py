@@ -137,6 +137,10 @@ class TestTradeoffFrontier:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             TradeoffFrontier([np.nan], [100.0])
+        with pytest.raises(ValueError, match="idle_power"):
+            TradeoffFrontier([1.0], [100.0], idle_power=np.nan)
+        with pytest.raises(ValueError, match="idle_power"):
+            TradeoffFrontier([1.0], [100.0], idle_power=np.inf)
 
     def test_duplicate_rates_keep_cheapest(self):
         frontier = TradeoffFrontier([2.0, 2.0], [120.0, 100.0],

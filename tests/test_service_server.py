@@ -82,6 +82,15 @@ class TestBasicOps:
         total = sum(s["duration"] for s in result["schedule"])
         assert total <= 50.0 + 1e-9
 
+    @pytest.mark.parametrize("idle_power, deadline", [
+        (np.nan, 50.0), (np.inf, 50.0), (5.0, np.inf)])
+    def test_optimize_rejects_nonfinite_inputs(self, client, idle_power,
+                                               deadline):
+        with pytest.raises(RequestRejected):
+            client.optimize(
+                np.array([1.0, 2.0, 4.0]), np.array([10.0, 15.0, 40.0]),
+                idle_power=idle_power, work=100.0, deadline=deadline)
+
     def test_metrics_op(self, client):
         client.ping()
         snapshot = client.metrics()
