@@ -52,15 +52,19 @@ documents the two explicit protocol choices).  Trials per figure follow
 """
 
 
-def main() -> int:
-    root = pathlib.Path(__file__).resolve().parent
-    results = root / "results"
+def render(results: pathlib.Path) -> str:
+    """EXPERIMENTS.md's text for the result files under ``results``."""
     body = render_markdown(results)
     # Drop the renderer's own H1 header; the preamble provides it.
     lines = body.splitlines()
     while lines and not lines[0].startswith("## "):
         lines.pop(0)
-    output = PREAMBLE + "\n".join(lines) + "\n"
+    return PREAMBLE + "\n".join(lines) + "\n"
+
+
+def main() -> int:
+    root = pathlib.Path(__file__).resolve().parent
+    output = render(root / "results")
     target = root.parent / "EXPERIMENTS.md"
     target.write_text(output)
     print(f"wrote {target} ({len(output.splitlines())} lines)")

@@ -37,12 +37,13 @@ import logging
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import linalg as sla
 
 from repro.core.linalg import (
     PosteriorCache,
     SubspaceBasis,
+    cholesky_factor,
     cholesky_logdet,
+    cholesky_solve,
     nearest_psd_jitter,
     psd_core_jitter,
     symmetrize,
@@ -165,18 +166,17 @@ def _data_variance(obs: ObservationSet) -> float:
     return data_var if data_var > 0 else 1.0
 
 
-def _default_covariance(obs: ObservationSet, basis: SubspaceBasis,
+def _default_covariance(rows: np.ndarray, basis: SubspaceBasis,
                         data_var: float) -> Tuple[np.ndarray, float]:
     """Sigma's starting point, restricted to S: ``(core, c)``.
 
-    The sample covariance of the fully observed rows plus a small ridge
-    (falling back to a scaled identity).  The rows lie in S, so on S's
-    complement only the ridge remains.
+    The sample covariance of the fully observed rows (``rows``, in
+    S-coordinates) plus a small ridge, falling back to a scaled identity
+    below two rows.  The rows lie in S, so on S's complement only the
+    ridge remains.
     """
-    full_rows = obs.mask.all(axis=1)
     r = basis.dim
-    if full_rows.sum() >= 2:
-        rows = basis.project(obs.values[full_rows])
+    if rows.shape[0] >= 2:
         centered = rows - rows.mean(axis=0)
         ridge = 0.05 * data_var
         core = (centered.T @ centered / (rows.shape[0] - 1)
@@ -224,20 +224,25 @@ class EMEngine:
 
         dense = not self.config.use_woodbury
         mask_groups = obs.mask_groups()
+        full_rows = obs.values[obs.mask.all(axis=1)]
         if (dense or init_sigma is not None
                 or (self.prior is not None and self.prior.psi_is_dense)):
             basis = SubspaceBasis.identity(n)
         else:
-            basis = self._basis(obs, mask_groups, mu)
+            basis = self._basis(obs, mask_groups, full_rows, mu)
         r, perp_dims = basis.dim, basis.perp_dims
-        groups = [self._group(obs, basis, obs_idx, apps)
+        # The fully observed rows in S-coordinates: the starting Sigma's
+        # sample and the full mask group's data.
+        full_y = basis.project(full_rows)
+        groups = [self._group(obs, basis, obs_idx, apps, full_y)
                   for obs_idx, apps in mask_groups]
         prior_terms = self._prior_terms(basis)
         mu_s = basis.project(mu)
         if init_sigma is not None:
             core, scale = psd_core_jitter(init_sigma, 0.0, perp_dims)
         else:
-            core, scale = _default_covariance(obs, basis, data_var)
+            core, scale = _default_covariance(full_y, basis, data_var)
+        total_observations = obs.total_observations
 
         # Fault-injection hook: force the failure modes the numerical
         # guards below exist for.
@@ -332,7 +337,7 @@ class EMEngine:
                         mu_s, core, scale = self._m_step(
                             zs, cov_sum, perp_sum, prior_terms, perp_dims)
                         noise_var = max(
-                            (trace_obs + sse_obs) / obs.total_observations,
+                            (trace_obs + sse_obs) / total_observations,
                             self.config.min_noise_var)
                 if converged:
                     break
@@ -362,7 +367,7 @@ class EMEngine:
                         sigma_scale=scale)
 
     # ------------------------------------------------------------------
-    def _basis(self, obs: ObservationSet, mask_groups,
+    def _basis(self, obs: ObservationSet, mask_groups, full_rows: np.ndarray,
                mu: np.ndarray) -> SubspaceBasis:
         """The basis of S for this fit.
 
@@ -374,7 +379,7 @@ class EMEngine:
         partial = [obs_idx for obs_idx, _ in mask_groups if obs_idx.size < n]
         unit = (np.concatenate(partial) if partial
                 else np.zeros(0, dtype=int))
-        generators = [obs.values[obs.mask.all(axis=1)], mu[None, :]]
+        generators = [full_rows, mu[None, :]]
         if self.prior is not None:
             generators.append(self.prior.mu0_vector(n)[None, :])
             generators.append(self.prior.psi_factors(n)[1].T)
@@ -382,16 +387,16 @@ class EMEngine:
 
     @staticmethod
     def _group(obs: ObservationSet, basis: SubspaceBasis,
-               obs_idx: np.ndarray, apps) -> _Group:
+               obs_idx: np.ndarray, apps, full_y: np.ndarray) -> _Group:
+        """One mask group; the full group's data is ``full_y``, every
+        fully observed row in S-coordinates."""
         apps = np.asarray(apps)
-        rows = obs.values[apps]
         if obs_idx.size == obs.num_configs:
             return _Group(apps=apps, num_observed=obs_idx.size,
-                          pos=np.arange(basis.dim), y=basis.project(rows),
-                          full=True)
+                          pos=np.arange(basis.dim), y=full_y, full=True)
         return _Group(apps=apps, num_observed=obs_idx.size,
-                      pos=basis.positions(obs_idx), y=rows[:, obs_idx],
-                      full=False)
+                      pos=basis.positions(obs_idx),
+                      y=obs.values[apps][:, obs_idx], full=False)
 
     def _prior_terms(self, basis: SubspaceBasis):
         """``(mu_0, Psi restricted to S, Psi's scale on S-perp)``."""
@@ -473,26 +478,24 @@ def _subspace_posterior(core: np.ndarray, scale: float, noise_var: float,
         #   Cov = sigma^2 I - sigma^4 K^{-1}  and  gain = I - sigma^2 K^{-1},
         # which stays accurate when sigma^2 << B, where the general form
         # B - B K^{-1} B cancels down to about sigma^2.
-        chol = sla.cho_factor(symmetrize(core + noise_var * np.eye(r)),
-                              lower=True, check_finite=False)
-        k_inv = sla.cho_solve(chol, np.eye(r), check_finite=False)
+        chol = cholesky_factor(symmetrize(core + noise_var * np.eye(r)))
+        k_inv = cholesky_solve(chol, np.eye(r))
         gain = np.eye(r) - noise_var * k_inv
         cov = symmetrize(noise_var * np.eye(r) - noise_var ** 2 * k_inv)
         perp_var = scale * noise_var / (scale + noise_var)
         perp_logdet = perp_dims * np.log(scale + noise_var)
     else:
         b_cols = core[:, pos]                              # (r, k)
-        chol = sla.cho_factor(
-            symmetrize(b_cols[pos] + noise_var * np.eye(pos.size)),
-            lower=True, check_finite=False)
-        gain = sla.cho_solve(chol, b_cols.T, check_finite=False).T
+        chol = cholesky_factor(
+            symmetrize(b_cols[pos] + noise_var * np.eye(pos.size)))
+        gain = cholesky_solve(chol, b_cols.T).T
         cov = symmetrize(core - gain @ b_cols.T)
         perp_var = scale
         perp_logdet = 0.0
     residuals = group.y - mu_s[pos]
     means = mu_s + residuals @ gain.T
-    alphas = sla.cho_solve(chol, residuals.T, check_finite=False)
+    alphas = cholesky_solve(chol, residuals.T)
     quads = np.einsum("km,km->m", residuals.T, alphas)
-    logdet = cholesky_logdet(chol[0]) + perp_logdet
+    logdet = cholesky_logdet(chol) + perp_logdet
     logliks = -0.5 * (quads + logdet + group.num_observed * np.log(2 * np.pi))
     return cov, means, logliks, perp_var

@@ -9,7 +9,9 @@ Three concerns live here:
   R^n (docs/MATH.md, "Exact subspace E-step").  :class:`SubspaceBasis`
   is an orthonormal basis Q of S; a covariance held as
   ``Q core Q' + c (I - Q Q')`` is updated through its r x r ``core`` and
-  the scalar ``c``, and is materialized only on request.
+  the scalar ``c``, and is materialized only on request.  Its r x r
+  systems are factored and solved by :func:`cholesky_factor` and
+  :func:`cholesky_solve`, LAPACK called directly.
 * **The literal oracle** — the dense Eq. (3) path the subspace engine is
   tested against.  The E-step posterior
 
@@ -37,6 +39,8 @@ from scipy import linalg as sla
 
 from repro.errors import CovarianceError
 from repro.obs import get_metrics, start_timer, stop_timer
+
+_POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -105,6 +109,53 @@ def psd_core_jitter(core: np.ndarray, scale: float, perp_dims: int,
     return core, scale
 
 
+def cholesky_factor(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_factor(a, lower=True, check_finite=False)[0]``.
+
+    LAPACK ``dpotrf`` called directly, so the result is bit for bit
+    scipy's without its batching and array-API wrappers.  The lower
+    triangle holds the factor and the upper one keeps ``a``'s entries.
+    Raises ``LinAlgError`` when a leading minor is not positive
+    definite; a 0 x 0 ``a`` gives a 0 x 0 factor.
+    """
+    factor, info = _POTRF(a, lower=True, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return factor
+
+
+def cholesky_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve((factor, True), b, check_finite=False)``.
+
+    LAPACK ``dpotrs`` on a :func:`cholesky_factor` result, bit for bit
+    scipy's; an empty ``b`` gives an empty result of its shape.
+    """
+    if b.size == 0:
+        return np.empty_like(b)
+    x, info = _POTRS(factor, b, lower=True)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
+def _unit_and_rest(n: int, unit: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct coordinates of ``unit`` and the other ones.
+
+    Both come from one boolean mask over ``[0, n)``; a coordinate
+    outside that range raises ``ValueError``.
+    """
+    unit = np.asarray(unit, dtype=int)
+    if unit.size and (unit.min() < 0 or unit.max() >= n):
+        raise ValueError(f"unit coordinates must lie in [0, {n}), got "
+                         f"[{unit.min()}, {unit.max()}]")
+    in_unit = np.zeros(n, dtype=bool)
+    in_unit[unit] = True
+    return np.flatnonzero(in_unit), np.flatnonzero(~in_unit)
+
+
 class SubspaceBasis:
     """An orthonormal basis Q (n x r) of a subspace S of R^n.
 
@@ -116,14 +167,14 @@ class SubspaceBasis:
 
     Args:
         n: Dimension of the ambient space.
-        unit: Coordinates whose unit vectors lie in S.
+        unit: Coordinates in ``[0, n)`` whose unit vectors lie in S;
+            repeats count once.
         block: ``(n - len(unit), r2)`` orthonormal columns on the rest.
     """
 
     def __init__(self, n: int, unit: np.ndarray, block: np.ndarray) -> None:
         self.n = int(n)
-        self.unit = np.unique(np.asarray(unit, dtype=int))
-        self.rest = np.setdiff1d(np.arange(self.n), self.unit)
+        self.unit, self.rest = _unit_and_rest(self.n, unit)
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[0] != self.rest.size:
             raise ValueError(f"block must have {self.rest.size} rows, "
@@ -145,7 +196,7 @@ class SubspaceBasis:
         value falls below ``max(dims) * eps`` of the largest are roundoff
         and are dropped.
         """
-        rest = np.setdiff1d(np.arange(n), unit)
+        unit, rest = _unit_and_rest(int(n), unit)
         components = np.asarray(generators, dtype=float)[:, rest]
         norms = np.linalg.norm(components, axis=1)
         components = components[norms > 0] / norms[norms > 0, None]

@@ -53,6 +53,10 @@ class EstimationProblem:
             ``None`` when no offline data exists.
         observed_indices: Omega_M — sampled configuration indices.
         observed_values: Measurements of the target at those indices.
+
+    Construction raises ``ValueError`` for misshapen arrays, indices
+    outside ``[0, n)`` or repeated, and non-finite features, prior
+    entries or observed values.
     """
 
     features: np.ndarray
@@ -66,12 +70,16 @@ class EstimationProblem:
         vals = np.asarray(self.observed_values, dtype=float)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got {features.shape}")
+        if not np.all(np.isfinite(features)):
+            raise ValueError("features must be finite")
         if idx.ndim != 1 or idx.shape != vals.shape:
             raise ValueError("observed indices/values must be aligned 1-D arrays")
         if idx.size and (idx.min() < 0 or idx.max() >= features.shape[0]):
             raise ValueError("observed indices out of configuration range")
         if idx.size and len(np.unique(idx)) != idx.size:
             raise ValueError("observed indices must be unique")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("observed values must be finite")
         if self.prior is not None:
             prior = np.asarray(self.prior, dtype=float)
             if prior.ndim != 2 or prior.shape[1] != features.shape[0]:
@@ -79,12 +87,12 @@ class EstimationProblem:
                     f"prior shape {prior.shape} incompatible with "
                     f"{features.shape[0]} configurations"
                 )
+            if not np.all(np.isfinite(prior)):
+                raise ValueError("prior entries must be finite")
+            object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "observed_indices", idx)
         object.__setattr__(self, "observed_values", vals)
-        if self.prior is not None:
-            object.__setattr__(self, "prior",
-                               np.asarray(self.prior, dtype=float))
 
     @property
     def num_configs(self) -> int:

@@ -17,7 +17,7 @@ same ordering so our reproduced curves have the same appearance.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -97,6 +97,7 @@ class ConfigurationSpace:
 
     The order is the paper's flat configuration index: memory controllers
     vary fastest, then speed settings, then hyperthreading, then cores.
+    A space is immutable once built.
     """
 
     def __init__(self, configs: Sequence[Configuration],
@@ -108,6 +109,7 @@ class ConfigurationSpace:
         self._index = {self._key(c): i for i, c in enumerate(self._configs)}
         if len(self._index) != len(self._configs):
             raise ValueError("configuration space contains duplicates")
+        self._features: Optional[np.ndarray] = None
 
     @staticmethod
     def _key(config: Configuration):
@@ -134,9 +136,14 @@ class ConfigurationSpace:
 
         ``d`` is 4 for plain configurations; heterogeneous spaces append
         per-cluster knobs (every member of a space shares one type, so
-        rows always stack).
+        rows always stack).  The matrix is built on the first call; every
+        call returns that one shared, read-only array.
         """
-        return np.stack([c.feature_vector() for c in self._configs])
+        if self._features is None:
+            features = np.stack([c.feature_vector() for c in self._configs])
+            features.flags.writeable = False
+            self._features = features
+        return self._features
 
     def subspace(self, indices: Sequence[int]) -> "ConfigurationSpace":
         """A new space holding ``self[i]`` for each ``i`` in ``indices``.

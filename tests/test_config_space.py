@@ -94,6 +94,19 @@ class TestPaperSpace:
         assert features[:, 1].max() == 32  # threads
         assert features[:, 3].max() == 15  # speed index
 
+    def test_feature_matrix_is_one_shared_read_only_array(self):
+        space = ConfigurationSpace.cores_only()
+        view = space.subspace([3, 1])
+        features = space.feature_matrix()
+        assert space.feature_matrix() is features
+        assert not features.flags.writeable
+        with pytest.raises(ValueError):
+            features[0, 0] = 0.0
+        np.testing.assert_array_equal(
+            features, np.stack([c.feature_vector() for c in space]))
+        np.testing.assert_array_equal(view.feature_matrix(),
+                                      features[[3, 1]])
+
 
 class TestCoresOnlySpace:
     def test_has_32_configurations(self, cores_space):

@@ -60,6 +60,18 @@ class TestValidation:
                               observed_indices=np.array([1]),
                               observed_values=np.array([1.0]))
 
+    @pytest.mark.parametrize("field", ["observed_values", "prior",
+                                       "features"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_inputs(self, field, bad):
+        problem = _problem()
+        arrays = {name: getattr(problem, name).copy()
+                  for name in ("features", "prior", "observed_values")}
+        arrays[field].flat[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EstimationProblem(observed_indices=problem.observed_indices,
+                              **arrays)
+
 
 class TestNormalizeProblem:
     def test_scale_is_observed_mean(self):

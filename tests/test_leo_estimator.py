@@ -153,3 +153,38 @@ class TestInitialization:
         b = LEOEstimator(em_config=config, init="random", seed=3).estimate(
             problem)
         np.testing.assert_allclose(a, b)
+
+
+class TestOneConfigurationView:
+    """The fits of a ``cluster_cap`` burst: a view of few configurations
+    that the samples observe completely.  On a one-configuration view
+    the rate fit's standardized data is all zero, so EM runs in an
+    empty subspace (r = 0); the power fit's subspace is a line."""
+
+    @staticmethod
+    def _problem(cores_space, prior, observed):
+        return EstimationProblem(
+            features=cores_space.subspace([7]).feature_matrix(),
+            prior=prior[:, [7]], observed_indices=np.array([0]),
+            observed_values=np.array([observed]))
+
+    def test_rate_fit_returns_the_observation(self, cores_dataset,
+                                              cores_space):
+        view = cores_dataset.leave_one_out("kmeans")
+        observed = float(view.true_rates[7])
+        normalized, scale = normalize_problem(
+            self._problem(cores_space, view.prior_rates, observed))
+        estimator = LEOEstimator()
+        curve = estimator.estimate(normalized) * scale
+        assert estimator.last_fit.result.sigma_basis.dim == 0
+        assert curve.tolist() == [observed]
+
+    def test_power_fit_shrinks_toward_the_prior(self, cores_dataset,
+                                                cores_space):
+        view = cores_dataset.leave_one_out("kmeans")
+        estimator = LEOEstimator()
+        curve = estimator.estimate(
+            self._problem(cores_space, view.prior_powers, 150.0))
+        assert estimator.last_fit.result.sigma_basis.dim == 1
+        assert curve.shape == (1,)
+        assert curve[0] == pytest.approx(149.93329803162933, rel=1e-9)

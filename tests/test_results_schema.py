@@ -8,6 +8,7 @@ silently produce unrenderable artifacts.  They skip cleanly on a fresh
 checkout.
 """
 
+import importlib.util
 import json
 import pathlib
 
@@ -88,6 +89,18 @@ class TestSensitivityAndPhases:
 
 
 class TestEveryResultRenderable:
+    def test_experiments_md_is_rendered_from_these_results(self):
+        """EXPERIMENTS.md is exactly what benchmarks/make_experiments_md.py
+        renders from the committed results: re-run the script whenever
+        a benchmark re-records one."""
+        script = RESULTS.parent / "make_experiments_md.py"
+        spec = importlib.util.spec_from_file_location("make_experiments_md",
+                                                      script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        committed = (RESULTS.parent.parent / "EXPERIMENTS.md").read_text()
+        assert committed == module.render(RESULTS)
+
     def test_render_covers_all_files(self):
         from repro.reporting.experiment_report import (_SECTIONS,
                                                        render_markdown)

@@ -47,26 +47,50 @@ SPECIALS = {
 }
 
 
+#: The finite ones, which an :class:`EstimationProblem` accepts.
+FINITE_SPECIALS = ("negative zero", "smallest subnormal")
+
+#: The problem's float arrays.
+FLOAT_FIELDS = ("features", "prior", "observed_values")
+
+
 def _special(name):
     return struct.unpack(">d", SPECIALS[name])[0]
 
 
+def _place_specials(arrays, names):
+    """Write each named pattern into each of ``arrays`` (features,
+    prior, observed values), at a different entry per pattern."""
+    features, prior, values = arrays
+    for column, name in enumerate(names):
+        features[column, column % 4] = _special(name)
+        prior[column, -1 - column] = _special(name)
+        values[column] = _special(name)
+
+
 def _paper_problem(seed=0, specials=False):
     """A problem shaped like the paper space's: 1024 configurations,
-    four knobs, a leave-one-out prior of 24 applications, 20 samples."""
+    four knobs, a leave-one-out prior of 24 applications, 20 samples.
+    ``specials`` places the finite special patterns."""
     rng = np.random.default_rng(seed)
     features = rng.random((1024, 4)) * 8
     prior = rng.random((24, 1024)) * 100 + 1
     indices = np.sort(rng.choice(1024, size=20, replace=False))
     values = rng.random(20) * 100 + 1
     if specials:
-        for column, name in enumerate(SPECIALS):
-            features[column, column % 4] = _special(name)
-            prior[column, -1 - column] = _special(name)
-            values[column] = _special(name)
+        _place_specials((features, prior, values), FINITE_SPECIALS)
     return EstimationProblem(features=features, prior=prior,
                              observed_indices=indices,
                              observed_values=values)
+
+
+def _over_the_wire(payload):
+    """The problem payload of an ``estimate`` request, sent and decoded."""
+    wire = Request(op="estimate", request_id=3,
+                   payload={"problem": payload,
+                            "estimator": "offline"}).to_wire()
+    back = Request.from_wire(decode_binary_frame(encode_binary_frame(wire)))
+    return back.payload["problem"]
 
 
 def _bits(array):
@@ -85,14 +109,14 @@ class TestArrayPayloads:
         assert not np.shares_memory(encode_array(curve), curve)
 
     def test_paper_scale_problem_round_trips_bit_exactly(self):
+        """The finite special patterns ride in a problem, which the
+        handler rebuilds bit for bit.  NaN and the infinities cross the
+        wire in the same payload arrays just as exactly; the rebuilt
+        problem then rejects them."""
         problem = _paper_problem(specials=True)
-        wire = Request(op="estimate", request_id=3,
-                       payload={"problem": problem_to_payload(problem),
-                                "estimator": "offline"}).to_wire()
-        back = Request.from_wire(
-            decode_binary_frame(encode_binary_frame(wire)))
-        rebuilt = problem_from_payload(back.payload["problem"])
-        for name in ("features", "prior", "observed_values"):
+        back = _over_the_wire(problem_to_payload(problem))
+        rebuilt = problem_from_payload(back)
+        for name in FLOAT_FIELDS:
             sent, got = getattr(problem, name), getattr(rebuilt, name)
             assert got.shape == sent.shape
             assert got.tobytes() == sent.tobytes(), name
@@ -100,11 +124,25 @@ class TestArrayPayloads:
             assert got.flags.c_contiguous and got.flags.writeable
         assert np.array_equal(rebuilt.observed_indices,
                               problem.observed_indices)
-        assert back.payload["problem"]["observed_indices"] == [
+        assert back["observed_indices"] == [
             int(i) for i in problem.observed_indices]
         raw = rebuilt.prior.tobytes()
-        for name in SPECIALS:
+        for name in FINITE_SPECIALS:
             assert struct.pack("=d", _special(name)) in raw, name
+
+        payload = problem_to_payload(_paper_problem())
+        _place_specials([payload[name] for name in FLOAT_FIELDS], SPECIALS)
+        back = _over_the_wire(payload)
+        for name in FLOAT_FIELDS:
+            sent, got = payload[name], back[name]
+            assert got.shape == sent.shape
+            assert got.tobytes() == sent.tobytes(), name
+            assert got.dtype == np.float64 and got.dtype.isnative
+            assert got.flags.c_contiguous and got.flags.writeable
+        for name in SPECIALS:
+            assert struct.pack("=d", _special(name)) in back["prior"].tobytes()
+        with pytest.raises(ValueError, match="finite"):
+            problem_from_payload(back)
 
     def test_json_frame_bytes_equal_the_list_payload(self):
         """The JSON text ``repro request`` prints: an array payload

@@ -25,7 +25,7 @@ from repro.service import (
     ServiceOverloaded,
 )
 from repro.service.frames import decode_binary_frame, read_binary_frame
-from repro.service.protocol import Request
+from repro.service.protocol import Request, problem_to_payload
 
 
 @pytest.fixture()
@@ -90,6 +90,19 @@ class TestBasicOps:
             client.optimize(
                 np.array([1.0, 2.0, 4.0]), np.array([10.0, 15.0, 40.0]),
                 idle_power=idle_power, work=100.0, deadline=deadline)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_estimate_rejects_nonfinite_observations(self, client, bad):
+        rng = np.random.default_rng(3)
+        problem = EstimationProblem(
+            features=rng.random((16, 3)), prior=rng.random((4, 16)) + 0.5,
+            observed_indices=np.arange(16),
+            observed_values=rng.random(16) + 0.5)
+        payload = problem_to_payload(problem)
+        payload["observed_values"][5] = bad
+        with pytest.raises(RequestRejected, match="finite"):
+            client.call("estimate", {"problem": payload,
+                                     "estimator": "online"})
 
     def test_metrics_op(self, client):
         client.ping()

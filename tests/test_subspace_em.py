@@ -13,6 +13,7 @@ noise levels, priors and initial means.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -148,6 +149,15 @@ class TestSubspaceDimension:
         np.testing.assert_array_equal(q[:3], np.eye(30)[[1, 4, 9]])
         projected = basis.lift(basis.project(generators))
         np.testing.assert_allclose(projected, generators, atol=1e-12)
+
+    def test_basis_rejects_coordinates_outside_the_space(self):
+        with pytest.raises(ValueError, match="lie in"):
+            SubspaceBasis(4, [5], np.zeros((4, 0)))
+        with pytest.raises(ValueError, match="lie in"):
+            SubspaceBasis.spanning(4, [-1], np.ones((1, 4)))
+        basis = SubspaceBasis(6, [5, 0, 5], np.zeros((4, 0)))
+        np.testing.assert_array_equal(basis.unit, [0, 5])
+        np.testing.assert_array_equal(basis.rest, [1, 2, 3, 4])
 
 
 class TestNoDenseArrayOnTheFitPath:
