@@ -8,11 +8,10 @@ calling ``time.*`` directly.  Two implementations exist:
 * :class:`WallClock` delegates to :func:`time.monotonic`,
   :func:`time.time`, and :func:`time.sleep` — byte-for-byte the
   behaviour the system had before clocks were threadable.
-* :class:`VirtualClock` is a deterministic discrete-event clock:
-  ``sleep()`` advances virtual time instantly (fast-forwarding idle
-  time through an event heap), timers fire in ``(deadline, seq)``
-  order, and two runs with the same schedule produce identical
-  timelines.  Days of simulated time cost microseconds of wall time.
+* :class:`VirtualClock` is a deterministic virtual clock: ``sleep()``
+  advances virtual time instantly, so two runs that sleep the same
+  amounts read the same timeline.  Days of simulated time cost
+  microseconds of wall time.
 
 Like the observability bundle (:mod:`repro.obs.context`) and the fault
 injector (:mod:`repro.faults.context`), the active clock is ambient: it
@@ -31,15 +30,13 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import heapq
 import time
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, Optional
 
 __all__ = [
     "Clock",
     "WallClock",
     "VirtualClock",
-    "Timer",
     "WALL_CLOCK",
     "get_clock",
     "resolve",
@@ -90,42 +87,13 @@ class WallClock(Clock):
         return "WallClock()"
 
 
-class Timer:
-    """A cancellable callback scheduled on a :class:`VirtualClock`.
-
-    Ordered by ``(deadline, seq)`` so two timers due at the same
-    instant fire in scheduling order — the property that makes virtual
-    timelines reproducible.
-    """
-
-    __slots__ = ("deadline", "seq", "callback", "cancelled")
-
-    def __init__(self, deadline: float, seq: int,
-                 callback: Optional[Callable[[], Any]]) -> None:
-        self.deadline = deadline
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing (idempotent)."""
-        self.cancelled = True
-
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.deadline, self.seq) < (other.deadline, other.seq)
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "armed"
-        return f"Timer(deadline={self.deadline!r}, {state})"
-
-
 class VirtualClock(Clock):
-    """A deterministic discrete-event clock.
+    """A deterministic virtual clock.
 
-    ``sleep(s)`` advances virtual time by ``s`` instantly, firing any
-    timers whose deadlines fall inside the jump — the fast-forward that
-    turns days of idle simulated time into free CI time.  Time never
-    goes backwards: ``advance_to`` clamps to the current instant.
+    ``sleep(s)`` advances virtual time by ``s`` instantly — the
+    fast-forward that turns days of idle simulated time into free CI
+    time.  Time never goes backwards: ``advance_to`` clamps to the
+    current instant.
 
     Args:
         start: Initial monotonic reading (``now()``).
@@ -138,8 +106,6 @@ class VirtualClock(Clock):
     def __init__(self, start: float = 0.0, epoch: float = 0.0) -> None:
         self._now = float(start)
         self._epoch_offset = float(epoch) - float(start)
-        self._heap: List[Timer] = []
-        self._seq = 0
         self._sleeps = 0
 
     # ------------------------------------------------------------------
@@ -165,65 +131,16 @@ class VirtualClock(Clock):
         """How many ``sleep`` calls this clock has absorbed."""
         return self._sleeps
 
-    @property
-    def pending_timers(self) -> int:
-        """Armed (uncancelled, unfired) timers still on the heap."""
-        return sum(1 for t in self._heap if not t.cancelled)
-
-    def schedule(self, delay: float,
-                 callback: Optional[Callable[[], Any]] = None) -> Timer:
-        """Arm ``callback`` to fire ``delay`` seconds from now.
-
-        Returns the :class:`Timer` handle; ``callback`` may be ``None``
-        for a pure deadline marker (useful with :meth:`next_deadline`).
-        """
-        timer = Timer(self._now + max(0.0, float(delay)), self._seq, callback)
-        self._seq += 1
-        heapq.heappush(self._heap, timer)
-        return timer
-
-    def next_deadline(self) -> Optional[float]:
-        """The earliest armed timer's deadline, or ``None``."""
-        self._prune()
-        return self._heap[0].deadline if self._heap else None
-
     def advance(self, seconds: float) -> None:
-        """Jump forward ``seconds``, firing due timers in order."""
+        """Jump forward ``seconds``."""
         self.advance_to(self._now + max(0.0, float(seconds)))
 
     def advance_to(self, instant: float) -> None:
-        """Jump to ``instant`` (clamped to never move backwards).
-
-        Timers due on the way fire in ``(deadline, seq)`` order, each
-        observing ``now()`` equal to its own deadline — exactly the
-        semantics of an event-driven scheduler draining its heap.
-        """
-        target = max(float(instant), self._now)
-        while True:
-            self._prune()
-            if not self._heap or self._heap[0].deadline > target:
-                break
-            timer = heapq.heappop(self._heap)
-            self._now = max(self._now, timer.deadline)
-            if timer.callback is not None and not timer.cancelled:
-                timer.callback()
-        self._now = target
-
-    def run_until_idle(self, limit: float = float("inf")) -> None:
-        """Fast-forward through every armed timer up to ``limit``."""
-        while True:
-            deadline = self.next_deadline()
-            if deadline is None or deadline > limit:
-                break
-            self.advance_to(deadline)
-
-    def _prune(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        """Jump to ``instant`` (clamped to never move backwards)."""
+        self._now = max(float(instant), self._now)
 
     def __repr__(self) -> str:
-        return (f"VirtualClock(now={self._now!r}, "
-                f"pending={self.pending_timers})")
+        return f"VirtualClock(now={self._now!r})"
 
 
 #: The process-wide default clock.

@@ -667,7 +667,10 @@ class ClusterCoordinator:
                 # controller's ladder; reaching here means even the
                 # samples were lost (e.g. total sensor dropout).  Keep
                 # a previous estimate when there is one, retry once
-                # with a fresh sampler stream otherwise.
+                # with a fresh sampler stream otherwise, and then fall
+                # back to the prior rows' mean over this view (the
+                # offline estimate).  Only a tenant without priors
+                # still raises.
                 ob.metrics.inc("cluster_calibration_faults_total")
                 logger.warning(
                     "tenant calibration failed",
@@ -678,7 +681,13 @@ class ClusterCoordinator:
                 if _retry:
                     self._calibrate(state, ob, _retry=False)
                     return
-                raise
+                if state.prior_rates_t is None or state.prior_powers_t is None:
+                    raise
+                state.estimate = TradeoffEstimate(
+                    rates=state.prior_rates_t.mean(axis=0),
+                    powers=state.prior_powers_t.mean(axis=0),
+                    estimator_name="offline")
+                return
         state.estimate = estimate
         # The application progresses while being sampled.
         state.remaining_work = max(

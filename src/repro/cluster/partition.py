@@ -63,10 +63,10 @@ class _TenantPowerModel(PowerModel):
         super().__init__(topology, constants)
         self.floor_share = float(floor_share)
 
-    def system_power(self, profile: ApplicationProfile,
-                     config: Configuration) -> float:
+    def system_power_from_chip(self, profile: ApplicationProfile,
+                               config: Configuration, chip: float) -> float:
         return (self.floor_share * self.constants.system_floor
-                + self.chip_power(profile, config)
+                + chip
                 + self.dram_power(profile, config))
 
     def idle_power(self) -> float:

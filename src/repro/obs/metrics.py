@@ -5,8 +5,8 @@ docs/OBSERVABILITY.md): ``em_iterations_total``, ``lp_resolves_total``,
 ``fit_seconds``, ``sampling_energy_joules``,
 ``constraint_violation_ratio``, and the profiling-hook timers.  A
 :class:`MetricsRegistry` owns them by name; :meth:`MetricsRegistry.snapshot`
-freezes everything into plain dictionaries for JSON/CSV export (see
-:mod:`repro.reporting.csv_export`).
+freezes everything into plain dictionaries, which
+:meth:`MetricsRegistry.write_json` writes out.
 
 Like tracing, metrics are off by default: the ambient registry is the
 no-op :data:`NULL_METRICS` singleton, so ``metrics.inc(...)`` on an

@@ -588,13 +588,13 @@ class HeteroPowerModel(PowerModel):
                       and config.offload)
         return device.active_watts if offloading else device.idle_watts
 
-    def system_power(self, profile: ApplicationProfile,
-                     config: Configuration) -> float:
+    def system_power_from_chip(self, profile: ApplicationProfile,
+                               config: Configuration, chip: float) -> float:
         if not isinstance(config, HeteroConfiguration) \
                 and self._base is not None:
-            return self._base.system_power(profile, config)
+            return self._base.system_power_from_chip(profile, config, chip)
         return (self.constants.system_floor
-                + self.chip_power(profile, config)
+                + chip
                 + self.dram_power(profile, config)
                 + self._device_power(config))
 

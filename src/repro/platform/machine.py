@@ -137,8 +137,9 @@ class Machine:
             raise ValueError(f"duration must be positive, got {duration}")
         profile, config = self._require_running()
         rate = self.true_rate(profile, config)
-        system_power = self.true_power(profile, config)
         chip_power = self.power_model.chip_power(profile, config)
+        system_power = self.power_model.system_power_from_chip(
+            profile, config, chip_power)
 
         if self.thermal is not None:
             # Throttling derates delivered frequency and chip power for

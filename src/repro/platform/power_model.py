@@ -113,8 +113,15 @@ class PowerModel:
     def system_power(self, profile: ApplicationProfile,
                      config: Configuration) -> float:
         """Whole-system wall power (what the WattsUp meter measures)."""
+        return self.system_power_from_chip(
+            profile, config, self.chip_power(profile, config))
+
+    def system_power_from_chip(self, profile: ApplicationProfile,
+                               config: Configuration, chip: float) -> float:
+        """:meth:`system_power` given ``chip``, this model's
+        :meth:`chip_power` at ``config`` — for callers that need both."""
         return (self.constants.system_floor
-                + self.chip_power(profile, config)
+                + chip
                 + self.dram_power(profile, config))
 
     def idle_power(self) -> float:

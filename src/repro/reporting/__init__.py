@@ -1,13 +1,6 @@
-"""Headless reporting: ASCII plots, CSV export, markdown experiment reports."""
+"""Headless reporting: ASCII plots, markdown experiment reports, span trees."""
 
-from repro.reporting.ascii_plot import heatmap, histogram, line_chart, sparkline
-from repro.reporting.csv_export import (
-    metrics_rows,
-    read_series,
-    write_metrics,
-    write_series,
-    write_table,
-)
+from repro.reporting.ascii_plot import heatmap, sparkline
 from repro.reporting.experiment_report import load_results, render_markdown
 from repro.reporting.span_tree import (
     critical_path,
@@ -17,14 +10,7 @@ from repro.reporting.span_tree import (
 
 __all__ = [
     "heatmap",
-    "histogram",
-    "line_chart",
     "sparkline",
-    "metrics_rows",
-    "read_series",
-    "write_metrics",
-    "write_series",
-    "write_table",
     "load_results",
     "render_markdown",
     "critical_path",

@@ -1,4 +1,4 @@
-"""Terminal plotting: sparklines and multi-series line charts.
+"""Terminal plotting: sparklines and character-density heatmaps.
 
 The reproduction is headless (no matplotlib dependency), but the paper's
 figures are curves; these helpers render them legibly in a terminal so
@@ -7,7 +7,7 @@ examples and benchmark printouts can *show* shape, not just numbers.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,66 +29,6 @@ def sparkline(values: Sequence[float], width: int = 48) -> str:
     scaled = (sampled - sampled.min()) / span
     return "".join(
         _SPARK_BLOCKS[int(s * (len(_SPARK_BLOCKS) - 1))] for s in scaled)
-
-
-def line_chart(series: Dict[str, Sequence[float]],
-               x: Optional[Sequence[float]] = None,
-               width: int = 64, height: int = 16,
-               title: str = "") -> str:
-    """Multi-series ASCII line chart.
-
-    Args:
-        series: Label -> y-values.  All series must share a length.
-        x: Optional shared x-values (used only for the axis labels).
-        width: Plot width in characters.
-        height: Plot height in rows.
-        title: Optional heading.
-
-    Each series is drawn with its own marker (the first letter of its
-    label); collisions show the later series' marker.
-    """
-    if not series:
-        raise ValueError("need at least one series")
-    lengths = {len(v) for v in series.values()}
-    if len(lengths) != 1:
-        raise ValueError(f"series lengths differ: {sorted(lengths)}")
-    (length,) = lengths
-    if length < 2:
-        raise ValueError("series need at least two points")
-    if width < 8 or height < 4:
-        raise ValueError("width must be >= 8 and height >= 4")
-
-    all_values = np.concatenate([np.asarray(v, dtype=float)
-                                 for v in series.values()])
-    if not np.all(np.isfinite(all_values)):
-        raise ValueError("series must be finite")
-    lo, hi = float(all_values.min()), float(all_values.max())
-    if hi == lo:
-        hi = lo + 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for label, values in series.items():
-        marker = label[0]
-        v = np.asarray(values, dtype=float)
-        cols = np.linspace(0, width - 1, v.size).astype(int)
-        rows = ((v - lo) / (hi - lo) * (height - 1)).round().astype(int)
-        for col, row in zip(cols, rows):
-            grid[height - 1 - row][col] = marker
-
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"{hi:10.3g} +" + "-" * width + "+")
-    for row in grid:
-        lines.append(" " * 11 + "|" + "".join(row) + "|")
-    lines.append(f"{lo:10.3g} +" + "-" * width + "+")
-    if x is not None:
-        x = np.asarray(x, dtype=float)
-        lines.append(" " * 12 + f"{x.min():<10.3g}"
-                     + " " * max(width - 20, 1) + f"{x.max():>10.3g}")
-    legend = "  ".join(f"{label[0]}={label}" for label in series)
-    lines.append(" " * 12 + legend)
-    return "\n".join(lines)
 
 
 def heatmap(matrix, width: int = 48, height: int = 24,
@@ -121,21 +61,4 @@ def heatmap(matrix, width: int = 48, height: int = 24,
     for row in normalized:
         lines.append("".join(
             _SPARK_BLOCKS[int(v * (len(_SPARK_BLOCKS) - 1))] for v in row))
-    return "\n".join(lines)
-
-
-def histogram(values: Sequence[float], bins: int = 10,
-              width: int = 40, title: str = "") -> str:
-    """Horizontal ASCII histogram."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("cannot histogram an empty sequence")
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    counts, edges = np.histogram(v, bins=bins)
-    peak = max(int(counts.max()), 1)
-    lines = [title] if title else []
-    for count, lo, hi in zip(counts, edges[:-1], edges[1:]):
-        bar = "#" * int(round(count / peak * width))
-        lines.append(f"[{lo:9.3g}, {hi:9.3g}) {bar} {count}")
     return "\n".join(lines)

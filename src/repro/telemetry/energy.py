@@ -1,9 +1,10 @@
 """Energy accounting: integrating power logs and execution records.
 
 Energy is the objective of the paper's optimization (Eq. 1): the sum over
-configurations of power times residency.  This module provides the
-integration utilities shared by the runtime, the experiments, and the
-meters.
+configurations of power times residency.  This module provides
+integration utilities over meter logs and measurement records.  The
+runtime and the experiments do not call them: they account energy on
+the :class:`~repro.platform.machine.Machine` itself.
 """
 
 from __future__ import annotations

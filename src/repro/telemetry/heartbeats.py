@@ -7,9 +7,11 @@ samples clustered) and lets observers read the heartbeat rate over a
 sliding window.  "All performance results are then estimated and measured
 in terms of heartbeats/s" (Section 6.1).
 
-:class:`HeartbeatMonitor` is that interface for the simulated stack: the
-machine's execution windows emit heartbeats into it and the runtime reads
-windowed rates out of it (including for phase detection, Section 6.6).
+:class:`HeartbeatMonitor` models that interface as a standalone
+registry: heartbeats go in, windowed rates come out.  The runtime does
+not read it; LEO's loops take each window's heartbeats and rate from
+:meth:`repro.platform.machine.Machine.run_for`'s ``Measurement``, and
+phase detection (Section 6.6) compares that rate with the model's.
 """
 
 from __future__ import annotations

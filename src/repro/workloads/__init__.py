@@ -10,7 +10,7 @@ from repro.workloads.suite import (
     get_benchmark,
     paper_suite,
 )
-from repro.workloads.traces import LeaveOneOut, OfflineDataset, cached_dataset
+from repro.workloads.traces import LeaveOneOut, OfflineDataset
 
 __all__ = [
     "ApplicationProfile",
@@ -27,5 +27,4 @@ __all__ = [
     "paper_suite",
     "LeaveOneOut",
     "OfflineDataset",
-    "cached_dataset",
 ]

@@ -12,7 +12,7 @@ trace is withheld and kept only as ground truth).
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -137,28 +137,3 @@ class OfflineDataset:
         with np.load(path, allow_pickle=False) as data:
             names = [str(n) for n in data["names"]]
             return cls(space, names, data["rates"], data["powers"])
-
-
-#: Cache of generated datasets keyed by (suite id, space id, noisy, seed),
-#: because the full 25 x 1024 sweep is the costliest part of experiment
-#: setup and every figure needs the same tables.
-_DATASET_CACHE: Dict[Tuple[int, int, bool, Optional[int]], OfflineDataset] = {}
-
-
-def cached_dataset(machine_seed: Optional[int],
-                   profiles: Sequence[ApplicationProfile],
-                   space: ConfigurationSpace,
-                   noisy: bool = True) -> OfflineDataset:
-    """Collect (or reuse) the offline dataset for a profile list.
-
-    The cache key includes the machine seed so different noise draws are
-    kept apart; ``id()`` of the profile tuple and space keep logically
-    different inputs apart within one process.
-    """
-    key = (hash(tuple(p.name for p in profiles)), id(space), noisy, machine_seed)
-    if key not in _DATASET_CACHE:
-        from repro.platform.machine import Machine
-        machine = Machine(space.topology, seed=machine_seed)
-        _DATASET_CACHE[key] = OfflineDataset.collect(
-            machine, profiles, space, noisy=noisy)
-    return _DATASET_CACHE[key]

@@ -1,8 +1,8 @@
 """Tests for repro.clock: the protocol, the virtual clock, ambience.
 
 The virtual clock is the soak harness's foundation: ``sleep`` must be
-free, timers must fire in deterministic order, and explicit injection
-must always beat the ambient default.
+free, time must never run backwards, and explicit injection must always
+beat the ambient default.
 """
 
 import time
@@ -69,78 +69,6 @@ class TestVirtualClock:
         clk = VirtualClock(start=10.0)
         clk.advance_to(3.0)
         assert clk.now() == 10.0
-
-    def test_timers_fire_in_deadline_order(self):
-        clk = VirtualClock()
-        fired = []
-        clk.schedule(2.0, lambda: fired.append("b"))
-        clk.schedule(1.0, lambda: fired.append("a"))
-        clk.schedule(3.0, lambda: fired.append("c"))
-        clk.advance(2.5)
-        assert fired == ["a", "b"]
-        assert clk.pending_timers == 1
-
-    def test_simultaneous_timers_fire_in_scheduling_order(self):
-        clk = VirtualClock()
-        fired = []
-        for tag in ("first", "second", "third"):
-            clk.schedule(1.0, lambda t=tag: fired.append(t))
-        clk.advance(1.0)
-        assert fired == ["first", "second", "third"]
-
-    def test_timer_observes_its_own_deadline(self):
-        clk = VirtualClock()
-        seen = []
-        clk.schedule(4.0, lambda: seen.append(clk.now()))
-        clk.advance(10.0)
-        assert seen == [4.0]
-        assert clk.now() == 10.0
-
-    def test_cancelled_timer_never_fires(self):
-        clk = VirtualClock()
-        fired = []
-        timer = clk.schedule(1.0, lambda: fired.append("x"))
-        timer.cancel()
-        clk.advance(5.0)
-        assert fired == []
-        assert clk.pending_timers == 0
-
-    def test_next_deadline_and_run_until_idle(self):
-        clk = VirtualClock()
-        fired = []
-        clk.schedule(5.0, lambda: fired.append(5))
-        clk.schedule(9.0, lambda: fired.append(9))
-        assert clk.next_deadline() == 5.0
-        clk.run_until_idle(limit=6.0)
-        assert fired == [5] and clk.now() == 5.0
-        clk.run_until_idle()
-        assert fired == [5, 9]
-        assert clk.next_deadline() is None
-
-    def test_timer_callback_may_reschedule(self):
-        clk = VirtualClock()
-        ticks = []
-
-        def tick():
-            ticks.append(clk.now())
-            if len(ticks) < 3:
-                clk.schedule(10.0, tick)
-
-        clk.schedule(10.0, tick)
-        clk.advance(100.0)
-        assert ticks == [10.0, 20.0, 30.0]
-
-    def test_two_identical_schedules_produce_identical_timelines(self):
-        def timeline():
-            clk = VirtualClock()
-            fired = []
-            clk.schedule(3.0, lambda: fired.append(("a", clk.now())))
-            clk.schedule(3.0, lambda: fired.append(("b", clk.now())))
-            clk.sleep(1.5)
-            clk.advance(4.0)
-            return fired, clk.now()
-
-        assert timeline() == timeline()
 
 
 class TestAmbience:

@@ -15,7 +15,7 @@ import pytest
 from repro.cluster import ClusterCoordinator, Tenant
 from repro.cluster.allocator import PowerCapAllocator, TenantDemand
 from repro.cluster.partition import PartitionedMachine
-from repro.errors import InfeasibleConstraintError
+from repro.errors import InfeasibleConstraintError, InsufficientSamplesError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, use
 from repro.obs import Observability
 from repro.workloads.suite import get_benchmark
@@ -150,6 +150,49 @@ class TestEpochFaults:
         assert report.cap_respected
         assert injector.total_fired > 0
 
+
+
+class TestLostCalibration:
+    """A repartition clears every estimate; a tenant whose calibration
+    and its retry both lose every sample runs on its prior mean."""
+
+    def _coordinator(self, cores_space, cores_dataset, priors=True,
+                     observability=None):
+        coordinator = ClusterCoordinator(
+            cores_space, cap_watts=800.0, policy="joint", sample_count=4,
+            seed=0, observability=observability)
+        for name in ("kmeans", "swish"):
+            view = cores_dataset.leave_one_out(name)
+            coordinator.admit(Tenant(
+                name=name, workload=get_benchmark(name), work=50.0,
+                deadline=30.0, estimator="leo",
+                prior_rates=view.prior_rates if priors else None,
+                prior_powers=view.prior_powers if priors else None))
+        return coordinator
+
+    def test_total_dropout_falls_back_to_the_prior_mean(self, cores_space,
+                                                        cores_dataset):
+        observability = Observability.recording()
+        coordinator = self._coordinator(cores_space, cores_dataset,
+                                        observability=observability)
+        with use(FaultInjector(plan(
+                FaultSpec("sensor-dropout", probability=1.0, end=5.0)))):
+            report = coordinator.run()
+        counters = observability.metrics.snapshot()["counters"]
+        # Both tenants lost the first calibration and its retry.
+        assert counters["cluster_calibration_faults_total"] >= 4
+        assert report.epochs > 0
+        assert report.cap_respected
+        assert report.all_deadlines_met
+
+    def test_tenant_without_priors_still_raises(self, cores_space,
+                                                cores_dataset):
+        coordinator = self._coordinator(cores_space, cores_dataset,
+                                        priors=False)
+        with use(FaultInjector(plan(
+                FaultSpec("sensor-dropout", probability=1.0, end=5.0)))):
+            with pytest.raises(InsufficientSamplesError):
+                coordinator.run()
 
 class TestInfeasibleDemand:
     def _demand(self, name, required):

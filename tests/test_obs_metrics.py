@@ -147,32 +147,3 @@ class TestProfilingHooks:
         started = start_timer()
         assert started is None
         stop_timer("ignored", started)  # must not raise or record
-
-
-class TestReportingIntegration:
-    def test_metrics_rows_flattens_snapshot(self):
-        from repro.reporting import metrics_rows
-        reg = MetricsRegistry()
-        reg.inc("lp_resolves_total", 3)
-        reg.set_gauge("constraint_violation_ratio", 0.0)
-        reg.observe("fit_seconds", 0.5)
-        rows = metrics_rows(reg.snapshot())
-        kinds = {(kind, name) for kind, name, _, _ in rows}
-        assert ("counter", "lp_resolves_total") in kinds
-        assert ("gauge", "constraint_violation_ratio") in kinds
-        assert sum(1 for k, n, _, _ in rows
-                   if (k, n) == ("histogram", "fit_seconds")) == 8
-
-    def test_metrics_rows_rejects_non_snapshot(self):
-        from repro.reporting import metrics_rows
-        with pytest.raises(ValueError):
-            metrics_rows({"counters": {}})
-
-    def test_write_metrics_csv(self, tmp_path):
-        from repro.reporting import write_metrics
-        reg = MetricsRegistry()
-        reg.inc("quanta_total", 20)
-        path = write_metrics(tmp_path / "m.csv", reg.snapshot())
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "kind,name,field,value"
-        assert "counter,quanta_total,value,20.0" in lines[1]

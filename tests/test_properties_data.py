@@ -1,9 +1,8 @@
 """Property-based tests for the data-plumbing layers.
 
-Covers ObservationSet mask grouping, HeartbeatMonitor rate arithmetic,
-the model registry's publish/warm-read round-trip, and the CSV exporter
-— the pieces whose bugs would silently corrupt experiments rather than
-crash them.
+Covers ObservationSet mask grouping, HeartbeatMonitor rate arithmetic
+and the model registry's publish/warm-read round-trip — the pieces whose
+bugs would silently corrupt experiments rather than crash them.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.observation import ObservationSet
-from repro.reporting.csv_export import read_series, write_series
 from repro.runtime.controller import TradeoffEstimate
 from repro.service.registry import ModelRegistry
 from repro.telemetry.heartbeats import HeartbeatMonitor
@@ -97,20 +95,3 @@ class TestStoreProperties:
         loaded = registry.warm_estimate(raw_name, n, "leo")
         np.testing.assert_array_equal(loaded.rates, estimate.rates)
         np.testing.assert_array_equal(loaded.powers, estimate.powers)
-
-
-class TestCsvProperties:
-    @settings(deadline=None, max_examples=25)
-    @given(rows=st.integers(1, 40), cols=st.integers(1, 4),
-           seed=st.integers(0, 10_000))
-    def test_roundtrip_exact(self, tmp_path_factory, rows, cols, seed):
-        rng = np.random.default_rng(seed)
-        x = np.sort(rng.uniform(0, 100, rows))
-        series = {f"s{i}": rng.uniform(-1e6, 1e6, rows)
-                  for i in range(cols)}
-        path = tmp_path_factory.mktemp("csv") / "data.csv"
-        write_series(path, "x", x, series)
-        back = read_series(path)
-        np.testing.assert_array_equal(back["x"], x)
-        for label, values in series.items():
-            np.testing.assert_array_equal(back[label], values)

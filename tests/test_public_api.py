@@ -1,11 +1,13 @@
 """Public-API surface tests.
 
-Guards the top-level ``repro`` namespace: everything advertised in
-``__all__`` must exist, be importable, and carry documentation — the
-contract a downstream user relies on.
+Guards the ``repro`` namespaces: every module must import, everything
+advertised in an ``__all__`` must exist, and the top level's exports
+must carry documentation — the contract a downstream user relies on.
 """
 
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
@@ -40,15 +42,15 @@ class TestTopLevelNamespace:
                        if name != "__version__")
 
 
+#: Every module under ``repro``, so a deletion that leaves a dangling
+#: import or ``__all__`` entry anywhere fails here.
+ALL_MODULES = sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro."))
+
+
 class TestSubpackageNamespaces:
-    @pytest.mark.parametrize("module_name", [
-        "repro.core", "repro.estimators", "repro.platform",
-        "repro.workloads", "repro.telemetry", "repro.optimize",
-        "repro.runtime", "repro.reporting", "repro.analysis",
-        "repro.experiments",
-    ])
+    @pytest.mark.parametrize("module_name", ALL_MODULES)
     def test_subpackage_all_resolves(self, module_name):
-        import importlib
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.{name}"

@@ -1,12 +1,11 @@
-"""Tests for repro.reporting: ASCII plots, CSV export, markdown reports."""
+"""Tests for repro.reporting: ASCII plots and markdown reports."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.reporting.ascii_plot import histogram, line_chart, sparkline
-from repro.reporting.csv_export import read_series, write_series, write_table
+from repro.reporting.ascii_plot import sparkline
 from repro.reporting.experiment_report import (
     load_results,
     main,
@@ -31,35 +30,6 @@ class TestSparkline:
             sparkline([])
         with pytest.raises(ValueError):
             sparkline([1.0], width=0)
-
-
-class TestLineChart:
-    def test_contains_markers_and_legend(self):
-        chart = line_chart({"leo": [1, 2, 3, 4], "race": [4, 3, 2, 1]},
-                           title="demo")
-        assert "demo" in chart
-        assert "l=leo" in chart and "r=race" in chart
-        assert "l" in chart and "r" in chart
-
-    def test_axis_bounds_printed(self):
-        chart = line_chart({"a": [10.0, 20.0, 30.0]})
-        assert "30" in chart and "10" in chart
-
-    def test_x_labels(self):
-        chart = line_chart({"a": [1, 2]}, x=[0.0, 5.0])
-        assert "5" in chart
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            line_chart({})
-        with pytest.raises(ValueError):
-            line_chart({"a": [1, 2], "b": [1]})
-        with pytest.raises(ValueError):
-            line_chart({"a": [1]})
-        with pytest.raises(ValueError):
-            line_chart({"a": [1, np.inf]})
-        with pytest.raises(ValueError):
-            line_chart({"a": [1, 2]}, width=4)
 
 
 class TestHeatmap:
@@ -93,53 +63,6 @@ class TestHeatmap:
             heatmap(np.ones(3))
         with pytest.raises(ValueError):
             heatmap(np.array([[np.inf]]))
-
-
-class TestHistogram:
-    def test_counts_rendered(self):
-        text = histogram([1, 1, 1, 5], bins=2, title="h")
-        assert text.startswith("h")
-        assert " 3" in text and " 1" in text
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            histogram([])
-        with pytest.raises(ValueError):
-            histogram([1.0], bins=0)
-
-
-class TestCsvExport:
-    def test_series_roundtrip(self, tmp_path):
-        x = np.linspace(0, 1, 7)
-        series = {"leo": x ** 2, "race": 1 - x}
-        path = write_series(tmp_path / "curves.csv", "u", x, series)
-        back = read_series(path)
-        np.testing.assert_allclose(back["u"], x)
-        np.testing.assert_allclose(back["leo"], x ** 2)
-        np.testing.assert_allclose(back["race"], 1 - x)
-
-    def test_series_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_series(tmp_path / "bad.csv", "x", [1.0], {"a": [1.0, 2.0]})
-        with pytest.raises(ValueError):
-            write_series(tmp_path / "bad.csv", "x", [], {})
-
-    def test_table_roundtrip(self, tmp_path):
-        path = write_table(tmp_path / "t.csv", ["a", "b"],
-                           [[1, 2], [3, 4]])
-        text = path.read_text()
-        assert "a,b" in text and "3,4" in text
-
-    def test_table_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_table(tmp_path / "t.csv", [], [])
-        with pytest.raises(ValueError):
-            write_table(tmp_path / "t.csv", ["a"], [[1, 2]])
-
-    def test_creates_parent_dirs(self, tmp_path):
-        path = write_table(tmp_path / "deep" / "dir" / "t.csv", ["a"],
-                           [[1]])
-        assert path.exists()
 
 
 class TestExperimentReport:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.platform.machine import Machine
-from repro.workloads.suite import paper_suite
-from repro.workloads.traces import OfflineDataset, cached_dataset
+from repro.workloads.traces import OfflineDataset
 
 
 class TestConstructionValidation:
@@ -79,17 +78,3 @@ class TestPersistence:
         assert loaded.names == cores_dataset.names
         np.testing.assert_allclose(loaded.rates, cores_dataset.rates)
         np.testing.assert_allclose(loaded.powers, cores_dataset.powers)
-
-
-class TestCache:
-    def test_cached_dataset_reuses_instance(self, cores_space):
-        suite = paper_suite()[:3]
-        a = cached_dataset(5, suite, cores_space)
-        b = cached_dataset(5, suite, cores_space)
-        assert a is b
-
-    def test_different_seed_rebuilds(self, cores_space):
-        suite = paper_suite()[:3]
-        a = cached_dataset(5, suite, cores_space)
-        b = cached_dataset(6, suite, cores_space)
-        assert a is not b
