@@ -13,6 +13,9 @@ worker, admission bound 2), then drives it the way a deployment would:
 * a cold ``calibrate-report`` publishes version 1 to the registry and a
   second, warm request returns the identical curves with zero samples —
   the cross-tenant amortization guarantee;
+* the version file that publish wrote is a schema-2 record (curves as
+  base64 float64 bytes), and a schema-1 record with float lists, as an
+  older build wrote it, is served warm with exactly its curves;
 * a paper-space ``estimate`` (1024x4 features, a leave-one-out 24x1024
   prior, 20 samples, ``estimator="offline"``) must come back bit-equal
   to the in-process estimate — the request frame is far longer than
@@ -29,11 +32,13 @@ the subprocess + socket path, not a figure reproduction.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +122,7 @@ def wait_for_admitted(address, count, timeout=10.0) -> None:
     raise AssertionError(f"admitted never reached {count}")
 
 
-def check_warm_start(address) -> None:
+def check_warm_start(address) -> int:
     with ServiceClient(address, timeout=300.0) as client:
         cold = client.calibrate_report("kmeans", space="cores", samples=6,
                                        estimator="leo", deadline_s=240.0)
@@ -130,6 +135,39 @@ def check_warm_start(address) -> None:
         assert warm[key].tobytes() == cold[key].tobytes(), (
             f"warm {key} must be identical")
     print("warm start: version 1 published, second tenant used 0 samples")
+    return cold["num_configs"]
+
+
+def check_older_records(address, registry: str, num_configs: int) -> None:
+    """Schema 2 on disk; a schema-1 record still serves warm."""
+    key = f"kmeans--{num_configs}--leo"
+    published = json.loads(
+        (Path(registry) / "models" / key / "v000001.json").read_text())
+    assert published["schema_version"] == 2, published["schema_version"]
+    assert all(isinstance(published[k], str) for k in ("rates", "powers"))
+
+    app = "x264"
+    rng = np.random.default_rng(11)
+    rates = rng.uniform(0.5, 40.0, num_configs)
+    powers = rng.uniform(80.0, 250.0, num_configs)
+    crc = zlib.crc32(powers.tobytes(), zlib.crc32(rates.tobytes()))
+    record = {"schema_version": 1, "app": app, "estimator": "leo",
+              "num_configs": num_configs, "version": 1,
+              "rates": rates.tolist(), "powers": powers.tolist(),
+              "crc32": crc, "metadata": {}, "created_unix": 0.0}
+    key = f"{app}--{num_configs}--leo"
+    version_file = Path(registry) / "models" / key / "v000001.json"
+    version_file.parent.mkdir(parents=True)
+    version_file.write_text(json.dumps(record) + "\n")
+    os.link(version_file, Path(registry) / "latest" / f"{key}.json")
+    with ServiceClient(address, timeout=60.0) as client:
+        warm = client.calibrate_report(app, space="cores", estimator="leo",
+                                       deadline_s=30.0)
+    assert warm["source"] == "registry" and warm["samples_used"] == 0, warm
+    assert warm["rates"].tobytes() == rates.tobytes(), "schema-1 rates"
+    assert warm["powers"].tobytes() == powers.tobytes(), "schema-1 powers"
+    print("registry records: publish wrote schema 2, a schema-1 record "
+          "served warm bit-equal")
 
 
 def check_paper_estimate(address) -> None:
@@ -189,7 +227,8 @@ def main() -> int:
             with ServiceClient(address, timeout=10.0) as client:
                 assert client.ping()["pong"] is True
             check_admission(address)
-            check_warm_start(address)
+            num_configs = check_warm_start(address)
+            check_older_records(address, registry, num_configs)
             check_paper_estimate(address)
             check_request_command(address)
             check_metrics(address)

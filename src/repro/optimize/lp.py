@@ -146,7 +146,10 @@ class EnergyMinimizer:
 
     def min_energy(self, work: float, deadline: float) -> float:
         """Energy (J) of the optimal schedule under the estimated model."""
-        schedule = self.solve(work, deadline)
+        return self.schedule_energy(self.solve(work, deadline), deadline)
+
+    def schedule_energy(self, schedule: Schedule, deadline: float) -> float:
+        """Energy (J) of ``schedule`` under the estimated model and mode."""
         energy = schedule.energy(self.powers, self.idle_power)
         if self.mode == "deadline-energy":
             # Charge idle power for any window time the schedule leaves.

@@ -21,15 +21,25 @@ in a temporary file and links it into place with ``os.link`` (atomic,
 refuses to clobber), retrying on the next free version number when two
 publishers race.  ``latest/`` holds a second name for the newest version
 file, not a second copy, so a warm read opens one file however long the
-history grows.  Every record carries a CRC-32 of its curves.  Readers
-skip records they cannot interpret — corrupt JSON, missing fields, a CRC
-mismatch, curves that do not cover the record's configuration count, or
-a ``schema_version`` from the future — and fall back to the newest
-*valid* version.
+history grows.
+
+Each record (``schema_version`` 2) stores its two curves as the base64
+text of their little-endian float64 bytes, so a warm read decodes two
+strings and a publish encodes bytes instead of parsing or printing
+thousands of floats, and every bit — negative zero, NaN payloads —
+survives the round trip.  The record's CRC-32 covers the same bytes,
+rates then powers.  Schema-1 records, written before the bytes
+encoding, store the curves as JSON float lists and still load; the
+decoder is chosen by the field's JSON type.  Readers skip records they
+cannot interpret — corrupt JSON, missing fields, curves that are not
+valid base64 or not whole float64s, a CRC mismatch, curves that do not
+cover the record's configuration count, or a ``schema_version`` from the
+future — and fall back to the newest *valid* version.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import dataclasses
 import json
@@ -51,7 +61,11 @@ PathLike = Union[str, pathlib.Path]
 logger = logging.getLogger(__name__)
 
 #: Schema stamped on every registry record; readers skip newer versions.
-REGISTRY_SCHEMA_VERSION = 1
+#: Schema 2 stores curves as base64 float64 bytes, schema 1 as lists.
+REGISTRY_SCHEMA_VERSION = 2
+
+#: The byte order records store curves in, whatever the host's.
+_CURVE_DTYPE = np.dtype("<f8")
 
 _VERSION_FILE = re.compile(r"^v(\d{6})\.json$")
 _KEY_SANITIZER = re.compile(r"[^A-Za-z0-9._-]+")
@@ -64,11 +78,30 @@ def _slug(text: str) -> str:
     return slug
 
 
-def _curve_crc(rates: np.ndarray, powers: np.ndarray) -> int:
-    """CRC-32 over both curves' raw bytes — the record integrity field."""
-    crc = zlib.crc32(np.ascontiguousarray(rates, dtype=float).tobytes())
-    return zlib.crc32(
-        np.ascontiguousarray(powers, dtype=float).tobytes(), crc)
+def _curve_bytes(curve: np.ndarray) -> bytes:
+    """A curve's little-endian float64 bytes, as records store them."""
+    return np.ascontiguousarray(curve, dtype=_CURVE_DTYPE).tobytes()
+
+
+def _curve_crc(rates: bytes, powers: bytes) -> int:
+    """CRC-32 over both curves' bytes — the record integrity field."""
+    return zlib.crc32(powers, zlib.crc32(rates))
+
+
+def _decode_curve(field: Any) -> np.ndarray:
+    """A record's curve as a writeable native float64 array.
+
+    Schema 2 stores base64 text of the little-endian bytes; schema 1
+    stored a JSON list of floats.  Raises ``ValueError`` on text that is
+    not base64 or does not hold whole float64s.
+    """
+    if isinstance(field, str):
+        raw = base64.b64decode(field, validate=True)
+        if len(raw) % _CURVE_DTYPE.itemsize:
+            raise ValueError(f"curve holds {len(raw)} bytes, not a whole "
+                             f"number of float64s")
+        return np.frombuffer(raw, dtype=_CURVE_DTYPE).astype(float)
+    return np.asarray(field, dtype=float)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,26 +139,28 @@ class ModelRecord:
         )
 
     def to_dict(self) -> Dict[str, Any]:
+        rates = _curve_bytes(self.rates)
+        powers = _curve_bytes(self.powers)
         return {
             "schema_version": REGISTRY_SCHEMA_VERSION,
             "app": self.app,
             "estimator": self.estimator,
             "num_configs": self.num_configs,
             "version": self.version,
-            "rates": self.rates.tolist(),
-            "powers": self.powers.tolist(),
-            "crc32": _curve_crc(self.rates, self.powers),
+            "rates": base64.b64encode(rates).decode("ascii"),
+            "powers": base64.b64encode(powers).decode("ascii"),
+            "crc32": _curve_crc(rates, powers),
             "metadata": self.metadata,
             "created_unix": self.created_unix,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ModelRecord":
-        """Rebuild a record; raises ``ValueError`` on curves that are
-        misaligned, do not cover ``num_configs``, or fail their CRC (a
-        record written before the CRC field still loads)."""
-        rates = np.asarray(payload["rates"], dtype=float)
-        powers = np.asarray(payload["powers"], dtype=float)
+        """Rebuild a record; raises ``ValueError`` on curves that do not
+        decode, are misaligned, do not cover ``num_configs``, or fail
+        their CRC (a record written before the CRC field still loads)."""
+        rates = _decode_curve(payload["rates"])
+        powers = _decode_curve(payload["powers"])
         num_configs = int(payload["num_configs"])
         if rates.ndim != 1 or rates.shape != powers.shape:
             raise ValueError("record curves must be aligned 1-D arrays")
@@ -133,8 +168,8 @@ class ModelRecord:
             raise ValueError(f"record curves cover {rates.size} "
                              f"configurations, expected {num_configs}")
         stored_crc = payload.get("crc32")
-        if stored_crc is not None and stored_crc != _curve_crc(rates,
-                                                               powers):
+        if stored_crc is not None and stored_crc != _curve_crc(
+                _curve_bytes(rates), _curve_bytes(powers)):
             raise ValueError(f"curve CRC mismatch (stored {stored_crc})")
         return cls(
             app=str(payload["app"]), estimator=str(payload["estimator"]),

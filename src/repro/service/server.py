@@ -193,7 +193,7 @@ class EstimationService:
         return {
             "schedule": [{"config_index": slot.config_index,
                           "duration": slot.duration} for slot in schedule],
-            "energy": minimizer.min_energy(work, deadline),
+            "energy": minimizer.schedule_energy(schedule, deadline),
             "max_rate": minimizer.max_rate,
         }
 

@@ -91,8 +91,10 @@ class TestSchemaVersioning:
     def test_records_carry_schema_version(self, tmp_path):
         link = _published_link(ModelRegistry(tmp_path))
         payload = json.loads(link.read_text())
-        assert payload["schema_version"] == REGISTRY_SCHEMA_VERSION == 1
+        assert payload["schema_version"] == REGISTRY_SCHEMA_VERSION == 2
         assert isinstance(payload["crc32"], int)
+        assert isinstance(payload["rates"], str)
+        assert isinstance(payload["powers"], str)
 
     def test_version1_record_without_key_still_loads(self, tmp_path):
         reg = ModelRegistry(tmp_path)

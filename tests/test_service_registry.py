@@ -1,5 +1,6 @@
 """Tests for repro.service.registry (the versioned model registry)."""
 
+import base64
 import json
 import os
 import threading
@@ -16,6 +17,21 @@ def _estimate(n=8, fill=1.0, name="leo"):
                             powers=np.full(n, fill * 10.0),
                             estimator_name=name,
                             sampling_time=3.0, sampling_energy=500.0)
+
+
+def _flip_byte(encoded, index=0):
+    """A stored curve with one of its float64 bytes flipped."""
+    raw = bytearray(base64.b64decode(encoded))
+    raw[index] ^= 0xFF
+    return base64.b64encode(bytes(raw)).decode("ascii")
+
+
+def _as_schema1(payload):
+    """Rewrite a record the way a build before the bytes encoding did."""
+    for key in ("rates", "powers"):
+        payload[key] = np.frombuffer(base64.b64decode(payload[key]),
+                                     dtype="<f8").tolist()
+    payload["schema_version"] = 1
 
 
 class TestPublishAndRead:
@@ -197,7 +213,8 @@ class TestTolerantReads:
 
     def test_crc_mismatch_skipped_for_older_valid(self, tmp_path, caplog):
         reg = ModelRegistry(tmp_path)
-        self._edit_newest(reg, lambda p: p["rates"].__setitem__(0, 9.0))
+        self._edit_newest(reg,
+                          lambda p: p.update(rates=_flip_byte(p["rates"])))
         with caplog.at_level("WARNING"):
             assert reg.latest("kmeans", 8, "leo").version == 1
         assert "CRC mismatch" in caplog.text
@@ -215,8 +232,12 @@ class TestTolerantReads:
 
     def test_record_without_crc_still_loads(self, tmp_path):
         reg = ModelRegistry(tmp_path)
-        self._edit_newest(reg, lambda p: p.pop("crc32"))
-        assert REGISTRY_SCHEMA_VERSION == 1
+
+        def schema1_without_crc(payload):
+            _as_schema1(payload)
+            del payload["crc32"]
+
+        self._edit_newest(reg, schema1_without_crc)
         assert reg.latest("kmeans", 8, "leo").version == 2
         warm = reg.warm_estimate("kmeans", 8, "leo")
         np.testing.assert_array_equal(warm.rates, np.full(8, 2.0))

@@ -14,6 +14,7 @@ import pytest
 
 from repro.estimators import LEOEstimator, register, unregister
 from repro.estimators.base import EstimationProblem, Estimator
+from repro.optimize.lp import EnergyMinimizer
 from repro.runtime.controller import TradeoffEstimate
 from repro.service import (
     DeadlineExceeded,
@@ -81,6 +82,23 @@ class TestBasicOps:
         assert result["max_rate"] == 4.0
         total = sum(s["duration"] for s in result["schedule"])
         assert total <= 50.0 + 1e-9
+
+    def test_optimize_solves_the_lp_once(self, client):
+        rates = np.array([1.0, 2.0, 4.0])
+        powers = np.array([10.0, 15.0, 40.0])
+        minimizer = EnergyMinimizer(rates, powers, 5.0)
+
+        def resolves():
+            counters = client.metrics()["metrics"]["counters"]
+            return counters.get("lp_resolves_total", 0)
+
+        for work in (37.5, 100.0, 173.0):
+            before = resolves()
+            result = client.optimize(rates, powers, idle_power=5.0,
+                                     work=work, deadline=50.0)
+            assert resolves() == before + 1
+            assert (result["energy"].hex()
+                    == minimizer.min_energy(work, 50.0).hex())
 
     @pytest.mark.parametrize("idle_power, deadline", [
         (np.nan, 50.0), (np.inf, 50.0), (5.0, np.inf)])
