@@ -60,7 +60,6 @@ from repro.obs import use as use_observability
 from repro.estimators import (
     EstimationProblem,
     Estimator,
-    ExhaustiveOracle,
     InsufficientSamplesError,
     LEOEstimator,
     OfflineEstimator,
@@ -110,7 +109,6 @@ __all__ = [
     "accuracy",
     "EstimationProblem",
     "Estimator",
-    "ExhaustiveOracle",
     "InsufficientSamplesError",
     "LEOEstimator",
     "OfflineEstimator",

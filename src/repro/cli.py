@@ -291,6 +291,9 @@ def _cmd_show_benchmark(name: str) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     ctx = default_context(space_kind=args.space, seed=args.seed)
+    if not 1 <= args.samples <= len(ctx.space):
+        print(f"--samples must be in [1, {len(ctx.space)}]", file=sys.stderr)
+        return 1
     try:
         view = ctx.dataset.leave_one_out(args.benchmark)
     except KeyError as exc:
@@ -328,12 +331,18 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if not 0 < args.utilization <= 1:
         print("--utilization must be in (0, 1]", file=sys.stderr)
         return 1
+    if not 0 < args.deadline < np.inf:
+        print("--deadline must be positive and finite", file=sys.stderr)
+        return 1
     from repro.estimators.registry import create_estimator
     from repro.runtime.controller import RuntimeController, TradeoffEstimate
     from repro.runtime.race_to_idle import RaceToIdleController
     from repro.runtime.sampling import RandomSampler
 
     ctx = default_context(space_kind=args.space, seed=args.seed)
+    if not 1 <= args.samples <= len(ctx.space):
+        print(f"--samples must be in [1, {len(ctx.space)}]", file=sys.stderr)
+        return 1
     try:
         view = ctx.dataset.leave_one_out(args.benchmark)
     except KeyError as exc:

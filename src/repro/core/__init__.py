@@ -1,6 +1,6 @@
 """LEO's core: the hierarchical Bayesian model and its EM machinery."""
 
-from repro.core.accuracy import accuracy, mape, normalized_to, rmse
+from repro.core.accuracy import accuracy, mape
 from repro.core.em import EMConfig, EMEngine, EMResult
 from repro.core.hbm import FittedModel, HierarchicalBayesianModel
 from repro.core.linalg import (
@@ -15,8 +15,6 @@ from repro.core.priors import ML_PRIOR, NIWPrior
 __all__ = [
     "accuracy",
     "mape",
-    "normalized_to",
-    "rmse",
     "EMConfig",
     "EMEngine",
     "EMResult",

@@ -6,7 +6,7 @@ The paper scores every estimator with
 
 i.e. the coefficient of determination (R^2) clipped at zero — an
 estimator no better than predicting the mean scores 0, a perfect
-estimator scores 1.  Companion metrics (RMSE, MAPE) are provided for the
+estimator scores 1.  MAPE is provided as a companion metric for the
 extended analyses.
 """
 
@@ -43,23 +43,9 @@ def accuracy(y_hat: Sequence[float], y_true: Sequence[float]) -> float:
     return max(1.0 - sse / sst, 0.0)
 
 
-def rmse(y_hat: Sequence[float], y_true: Sequence[float]) -> float:
-    """Root-mean-square error."""
-    yh, yt = _as_aligned(y_hat, y_true)
-    return float(np.sqrt(np.mean((yh - yt) ** 2)))
-
-
 def mape(y_hat: Sequence[float], y_true: Sequence[float]) -> float:
     """Mean absolute percentage error; requires nonzero truth entries."""
     yh, yt = _as_aligned(y_hat, y_true)
     if np.any(yt == 0):
         raise ValueError("MAPE undefined when the truth contains zeros")
     return float(np.mean(np.abs((yh - yt) / yt)))
-
-
-def normalized_to(values: Sequence[float], reference: float) -> np.ndarray:
-    """``values / reference`` with validation (e.g. energy vs optimal)."""
-    if reference <= 0:
-        raise ValueError(f"reference must be positive, got {reference}")
-    v = np.asarray(values, dtype=float)
-    return v / reference

@@ -239,10 +239,6 @@ class TransferPrior:
             names=tuple(names)))
 
     @property
-    def num_platforms(self) -> int:
-        return len(self._blocks)
-
-    @property
     def num_applications(self) -> int:
         return sum(block.rates.shape[0] for block in self._blocks)
 

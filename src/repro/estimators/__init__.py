@@ -6,7 +6,6 @@ from repro.estimators.base import (
     InsufficientSamplesError,
     normalize_problem,
 )
-from repro.estimators.exhaustive import ExhaustiveOracle
 from repro.estimators.knn import KNNEstimator
 from repro.estimators.leo import LEOEstimator
 from repro.estimators.offline import OfflineEstimator
@@ -25,7 +24,6 @@ __all__ = [
     "Estimator",
     "InsufficientSamplesError",
     "normalize_problem",
-    "ExhaustiveOracle",
     "KNNEstimator",
     "LEOEstimator",
     "OfflineEstimator",

@@ -172,12 +172,3 @@ def summarize_runs(runs: Sequence[ClusterRun]) -> List[List[object]]:
              1000.0 * run.energy_per_work, run.max_peak_watts,
              run.cap_respected, ",".join(run.missed) or "-"]
             for run in runs]
-
-
-def joint_vs_static(runs: Sequence[ClusterRun]
-                    ) -> Dict[float, Dict[str, float]]:
-    """Per-cap energy of each policy, for the headline comparison."""
-    table: Dict[float, Dict[str, float]] = {}
-    for run in runs:
-        table.setdefault(run.cap_watts, {})[run.policy] = run.total_energy
-    return table

@@ -8,8 +8,8 @@ the same faults at the same moments, so every chaos run is exactly
 reproducible (the same discipline the experiment harness applies to
 measurement noise).
 
-Plans round-trip through JSON so they can be shipped, versioned, and
-named on the ``repro chaos`` command line.
+The shipped plans live in :mod:`repro.faults.plans` and are named on
+the ``repro chaos`` command line.
 
 Fault taxonomy (see docs/RESILIENCE.md for the semantics of each):
 
@@ -62,9 +62,8 @@ kind                      site                   effect when fired
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import FaultPlanError
 
@@ -162,35 +161,6 @@ class FaultSpec:
         """Whether this fault is a window state, not a per-event firing."""
         return self.kind in WINDOWED_KINDS
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"kind": self.kind}
-        if self.start:
-            out["start"] = self.start
-        if math.isfinite(self.end):
-            out["end"] = self.end
-        if self.probability != 1.0:
-            out["probability"] = self.probability
-        if self.magnitude != 1.0:
-            out["magnitude"] = self.magnitude
-        if self.target:
-            out["target"] = self.target
-        if self.max_events is not None:
-            out["max_events"] = self.max_events
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultSpec":
-        if not isinstance(data, dict):
-            raise FaultPlanError(f"fault spec must be an object, got {data!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise FaultPlanError(
-                f"fault spec has unknown fields {sorted(unknown)}")
-        if "kind" not in data:
-            raise FaultPlanError("fault spec is missing 'kind'")
-        return cls(**data)
-
 
 @dataclasses.dataclass(frozen=True)
 class FaultPlan:
@@ -222,27 +192,3 @@ class FaultPlan:
     def kinds(self) -> Tuple[str, ...]:
         """The distinct fault kinds this plan exercises, sorted."""
         return tuple(sorted({spec.kind for spec in self.specs}))
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps({
-            "name": self.name,
-            "seed": self.seed,
-            "specs": [spec.to_dict() for spec in self.specs],
-        }, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise FaultPlanError(f"unparseable fault plan: {exc}") from exc
-        if not isinstance(data, dict):
-            raise FaultPlanError("fault plan must be a JSON object")
-        specs = data.get("specs", [])
-        if not isinstance(specs, Sequence) or isinstance(specs, str):
-            raise FaultPlanError("fault plan 'specs' must be a list")
-        return cls(
-            name=data.get("name", ""),
-            seed=int(data.get("seed", 0)),
-            specs=tuple(FaultSpec.from_dict(s) for s in specs),
-        )

@@ -6,9 +6,7 @@ early — roughly the first minute of simulated time, or the first few
 events at clock-less sites — and then clear, so the run also exercises
 recovery and promotion back to the configured estimator).
 
-Plans are plain data; load custom ones from JSON with
-:meth:`~repro.faults.plan.FaultPlan.from_json` or name these on the
-``repro chaos`` command line.
+Plans are plain data; name these on the ``repro chaos`` command line.
 """
 
 from __future__ import annotations

@@ -77,20 +77,6 @@ class EnergyMinimizer:
         """Highest estimated sustainable rate."""
         return self.frontier.max_rate
 
-    def work_for_utilization(self, utilization: float, deadline: float) -> float:
-        """Work W corresponding to a utilization demand in (0, 1].
-
-        The paper sweeps "100 different values for W — each representing
-        a different utilization demand from 1 to 100%" (Section 6.4):
-        utilization u demands u times the maximum work achievable within
-        the deadline.
-        """
-        if not 0 < utilization <= 1:
-            raise ValueError(f"utilization must be in (0, 1], got {utilization}")
-        if deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
-        return utilization * self.max_rate * deadline
-
     # ------------------------------------------------------------------
     # Hull-walk solver (the paper's method)
     # ------------------------------------------------------------------

@@ -78,29 +78,6 @@ class Schedule:
             total += watts * slot.duration
         return total
 
-    def average_rate(self, rates: Sequence[float]) -> float:
-        """Work divided by total time (0 for an empty schedule)."""
-        span = self.total_time
-        if span == 0:
-            return 0.0
-        return self.work(rates) / span
-
-    def padded_to(self, deadline: float) -> "Schedule":
-        """This schedule with an idle slot appended to fill ``deadline``.
-
-        Raises if the schedule is already longer than the deadline
-        (beyond a small numerical tolerance).
-        """
-        span = self.total_time
-        slack = deadline - span
-        if slack < -1e-9 * max(1.0, deadline):
-            raise ValueError(
-                f"schedule length {span} exceeds deadline {deadline}"
-            )
-        if slack <= 0:
-            return Schedule(self.slots)
-        return Schedule(list(self.slots) + [Slot(None, slack)])
-
     def __repr__(self) -> str:
         parts = ", ".join(
             f"(idle, {s.duration:.3g}s)" if s.config_index is None

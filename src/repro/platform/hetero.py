@@ -243,13 +243,6 @@ class HeteroTopology:
     def total_tdp_watts(self) -> float:
         return sum(c.tdp_watts for c in self.clusters)
 
-    def cluster_named(self, name: str) -> CoreCluster:
-        for cluster in self.clusters:
-            if cluster.name == name:
-                return cluster
-        raise KeyError(f"no cluster named {name!r} "
-                       f"(have {[c.name for c in self.clusters]})")
-
     def cluster_index(self, name: str) -> int:
         for i, cluster in enumerate(self.clusters):
             if cluster.name == name:

@@ -75,14 +75,6 @@ class Topology:
         full, partial = divmod(cores, self.cores_per_socket)
         return full + (1 if partial else 0)
 
-    def cores_on_socket(self, cores: int, socket: int) -> int:
-        """How many of the first ``cores`` allocated cores land on ``socket``."""
-        if socket < 0 or socket >= self.sockets:
-            raise ValueError(f"socket {socket} out of range [0, {self.sockets})")
-        start = socket * self.cores_per_socket
-        used = min(max(cores - start, 0), self.cores_per_socket)
-        return used
-
     # ------------------------------------------------------------------
     # Partitioning (the cluster subsystem's substrate)
     # ------------------------------------------------------------------

@@ -118,14 +118,6 @@ class TradeoffEstimate:
         self._sampling_heartbeats = float(sampling_heartbeats)
         self._fit_seconds = float(fit_seconds)
 
-    @classmethod
-    def from_truth(cls, rates: np.ndarray, powers: np.ndarray
-                   ) -> "TradeoffEstimate":
-        """An oracle estimate: the exhaustive-search ground truth."""
-        return cls(rates=np.asarray(rates, dtype=float),
-                   powers=np.asarray(powers, dtype=float),
-                   estimator_name="exhaustive")
-
     # -- span-derived bookkeeping ---------------------------------------
     def _span_attr_sum(self, span_name: str, attr: str) -> Optional[float]:
         """Sum ``attr`` over spans named ``span_name``; None if absent."""

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.estimators.registry import create_estimator
 from repro.obs import Observability
 from repro.obs import use as use_observability
@@ -127,14 +125,3 @@ class EnergyManager:
         racer = RaceToIdleController(self.machine, self.space)
         with use_observability(self.observability):
             return racer.run(profile, work, deadline)
-
-    def true_tradeoffs(self, profile: ApplicationProfile
-                       ) -> TradeoffEstimate:
-        """Exhaustive-search ground truth for ``profile`` (noise-free)."""
-        rates = np.array([
-            self.machine.true_rate(profile, config) for config in self.space
-        ])
-        powers = np.array([
-            self.machine.true_power(profile, config) for config in self.space
-        ])
-        return TradeoffEstimate.from_truth(rates, powers)

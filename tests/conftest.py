@@ -8,8 +8,13 @@ behaviour under test depends on it (flattening order, online regression's
 
 Property tests run under the derandomized ``tier1`` Hypothesis profile
 by default: every run draws the same examples, so the suite's verdict
-cannot change between runs.  ``HYPOTHESIS_PROFILE=default`` (Hypothesis'
-own profile) draws fresh examples instead, for hunting counterexamples.
+cannot change between runs of one source tree.  The examples are fixed
+for a given tree, not across edits to it: Hypothesis also draws
+constants from the source of every loaded local module, so adding or
+deleting code under ``src/`` can change which examples tier-1 runs.
+``HYPOTHESIS_PROFILE=default`` (Hypothesis' own profile) draws fresh
+examples instead, for hunting counterexamples; CI's ``properties`` job
+runs the property suites that way.
 """
 
 from __future__ import annotations

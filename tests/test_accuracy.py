@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.accuracy import accuracy, mape, normalized_to, rmse
+from repro.core.accuracy import accuracy, mape
 
 
 class TestAccuracy:
@@ -52,24 +52,9 @@ class TestAccuracy:
 
 
 class TestCompanionMetrics:
-    def test_rmse(self):
-        assert rmse([1.0, 3.0], [0.0, 0.0]) == pytest.approx(
-            np.sqrt(5.0))
-
-    def test_rmse_zero_for_perfect(self):
-        assert rmse([2.0, 2.0], [2.0, 2.0]) == 0.0
-
     def test_mape(self):
         assert mape([110.0, 90.0], [100.0, 100.0]) == pytest.approx(0.1)
 
     def test_mape_rejects_zero_truth(self):
         with pytest.raises(ValueError):
             mape([1.0], [0.0])
-
-    def test_normalized_to(self):
-        np.testing.assert_allclose(normalized_to([2.0, 4.0], 2.0),
-                                   [1.0, 2.0])
-
-    def test_normalized_to_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            normalized_to([1.0], 0.0)

@@ -1,10 +1,9 @@
-"""Tests for the offline, online, and exhaustive estimators."""
+"""Tests for the offline and online estimators."""
 
 import numpy as np
 import pytest
 
 from repro.estimators.base import EstimationProblem, InsufficientSamplesError
-from repro.estimators.exhaustive import ExhaustiveOracle
 from repro.estimators.offline import OfflineEstimator
 from repro.estimators.online import (
     OnlineEstimator,
@@ -152,36 +151,3 @@ class TestOnlineEstimator:
         with pytest.raises(ValueError):
             OnlineEstimator(clip_floor=-1.0)
 
-
-class TestExhaustiveOracle:
-    def test_returns_truth(self):
-        truth = np.array([1.0, 2.0, 3.0])
-        problem = EstimationProblem(
-            features=np.ones((3, 1)), prior=None,
-            observed_indices=np.array([0]), observed_values=np.array([9.0]))
-        np.testing.assert_allclose(
-            ExhaustiveOracle(truth).estimate(problem), truth)
-
-    def test_returns_copy(self):
-        truth = np.array([1.0, 2.0])
-        oracle = ExhaustiveOracle(truth)
-        problem = EstimationProblem(
-            features=np.ones((2, 1)), prior=None,
-            observed_indices=np.array([0]), observed_values=np.array([1.0]))
-        estimate = oracle.estimate(problem)
-        estimate[0] = 99.0
-        assert oracle.truth[0] == 1.0
-
-    def test_size_mismatch_raises(self):
-        oracle = ExhaustiveOracle(np.ones(5))
-        problem = EstimationProblem(
-            features=np.ones((3, 1)), prior=None,
-            observed_indices=np.array([0]), observed_values=np.array([1.0]))
-        with pytest.raises(ValueError):
-            oracle.estimate(problem)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExhaustiveOracle(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            ExhaustiveOracle(np.array([np.inf]))

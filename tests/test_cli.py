@@ -44,6 +44,13 @@ class TestEstimate:
         assert main(["estimate", "--benchmark", "doom",
                      "--space", "cores"]) == 1
 
+    @pytest.mark.parametrize("samples", ["0", "-3", "33", "5000"])
+    def test_rejects_bad_samples(self, samples, capsys):
+        """Outside 1..32 (the cores space) is one line, not a traceback."""
+        assert main(["estimate", "--samples", samples,
+                     "--space", "cores"]) == 1
+        assert "--samples" in capsys.readouterr().err
+
     def test_infeasible_online_reported(self, capsys):
         # 6 samples on the cores space: online works (2 varying knobs);
         # the infeasible path needs the paper space below 15 samples.
@@ -66,6 +73,15 @@ class TestOptimize:
     def test_rejects_bad_utilization(self, capsys):
         assert main(["optimize", "--utilization", "1.5",
                      "--space", "cores"]) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "0"), ("--samples", "-3"), ("--samples", "33"),
+        ("--samples", "5000"), ("--deadline", "0"), ("--deadline", "-5"),
+        ("--deadline", "nan"), ("--deadline", "inf"),
+    ])
+    def test_rejects_bad_samples_and_deadline(self, flag, value, capsys):
+        assert main(["optimize", flag, value, "--space", "cores"]) == 1
+        assert flag in capsys.readouterr().err
 
     def test_estimator_choice(self, capsys):
         code = main(["optimize", "--benchmark", "x264",

@@ -12,7 +12,6 @@ from repro.cli import main
 from repro.experiments.cluster_energy import (
     ClusterRun,
     cluster_energy_experiment,
-    joint_vs_static,
     summarize_runs,
     tenant_workloads,
 )
@@ -67,13 +66,6 @@ class TestReporting:
         assert len(rows) == 2
         assert rows[0][1] == "joint"
         assert rows[1][6] == "a"
-
-    def test_joint_vs_static_pivots_by_cap(self):
-        table = joint_vs_static([fake_run(200.0, "joint", 500.0),
-                                 fake_run(200.0, "static", 600.0),
-                                 fake_run(150.0, "joint", 550.0)])
-        assert table[200.0] == {"joint": 500.0, "static": 600.0}
-        assert table[150.0] == {"joint": 550.0}
 
 
 class TestCli:

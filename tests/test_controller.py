@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.estimators.exhaustive import ExhaustiveOracle
 from repro.estimators.leo import LEOEstimator
 from repro.estimators.offline import OfflineEstimator
 from repro.optimize.lp import EnergyMinimizer
@@ -24,7 +23,8 @@ def leo_controller(machine, cores_space, cores_dataset):
 
 def _oracle_estimate(machine, profile, space) -> TradeoffEstimate:
     rates, powers = machine.sweep(profile, space, noisy=False)
-    return TradeoffEstimate.from_truth(rates, powers)
+    return TradeoffEstimate(rates=rates, powers=powers,
+                            estimator_name="exhaustive")
 
 
 class TestCalibrate:

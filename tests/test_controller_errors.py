@@ -67,7 +67,8 @@ class TestRunReportHonesty:
         deadline = 20.0
         report = controller.run(
             kmeans, work=truth.max() * deadline * 2.0, deadline=deadline,
-            estimate=TradeoffEstimate.from_truth(truth, powers))
+            estimate=TradeoffEstimate(rates=truth, powers=powers,
+                                      estimator_name="exhaustive"))
         # Even flat out, no more than max-rate x deadline (+noise slack).
         assert report.work_done <= truth.max() * deadline * 1.05
         assert not report.met_target
@@ -89,7 +90,8 @@ class TestRunReportHonesty:
         before = machine.total_energy
         report = controller.run(
             swish, work=0.3 * truth.max() * 20.0, deadline=20.0,
-            estimate=TradeoffEstimate.from_truth(truth, powers))
+            estimate=TradeoffEstimate(rates=truth, powers=powers,
+                                      estimator_name="exhaustive"))
         assert report.energy == pytest.approx(
             machine.total_energy - before)
         assert machine.clock == pytest.approx(20.0)

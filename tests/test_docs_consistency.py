@@ -5,6 +5,7 @@ promises; these tests fail when a rename or deletion would silently
 break them.
 """
 
+import importlib
 import pathlib
 import re
 import shlex
@@ -155,6 +156,42 @@ class TestDocImports:
                 exec(compile(statement, name, "exec"), {})
             except ImportError as exc:
                 broken.append(f"{name}: {statement} ({exc})")
+        assert not broken, broken
+
+
+#: A backticked dotted ``repro`` name in prose, or the callee of a
+#: backticked call such as `repro.obs.merge_spans(*shards)`.
+DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)[`(]")
+
+
+def _resolves(name):
+    """Whether ``name`` is a module, or an attribute path under the
+    longest importable module prefix of it."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+class TestDocNames:
+    def test_every_backticked_repro_name_resolves(self):
+        """Prose in README, DESIGN and docs/ names only what exists."""
+        mentions = set()
+        for path in ([ROOT / "README.md", ROOT / "DESIGN.md"]
+                     + sorted((ROOT / "docs").glob("*.md"))):
+            mentions |= {(path.name, name)
+                         for name in DOTTED_NAME.findall(path.read_text())}
+        assert mentions, "no repro names found in the docs"
+        broken = sorted(f"{file}: {name}" for file, name in mentions
+                        if not _resolves(name))
         assert not broken, broken
 
 

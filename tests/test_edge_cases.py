@@ -115,7 +115,8 @@ class TestTinyDeadlines:
             prior_rates=view.prior_rates, prior_powers=view.prior_powers)
         report = controller.run(
             kmeans, work=rates.max() * 0.1, deadline=0.5,
-            estimate=TradeoffEstimate.from_truth(rates, powers))
+            estimate=TradeoffEstimate(rates=rates, powers=powers,
+                                      estimator_name="exhaustive"))
         assert report.work_done > 0
 
 

@@ -1,6 +1,5 @@
 """Tests for repro.runtime.energy_manager (the public facade)."""
 
-import numpy as np
 import pytest
 
 from repro.platform.config_space import ConfigurationSpace
@@ -72,13 +71,6 @@ class TestOptimize:
                                estimate=estimate)
         race = manager.race_to_idle(kmeans, utilization=0.4, deadline=30.0)
         assert leo.energy < race.energy
-
-    def test_true_tradeoffs_match_machine(self, manager):
-        kmeans = get_benchmark("kmeans")
-        truth = manager.true_tradeoffs(kmeans)
-        expected = [manager.machine.true_rate(kmeans, c)
-                    for c in manager.space]
-        np.testing.assert_allclose(truth.rates, expected)
 
 
 class TestRaceToIdle:

@@ -13,7 +13,8 @@ from repro.workloads.suite import get_benchmark
 def _truth(machine, profile, space):
     rates = np.array([machine.true_rate(profile, c) for c in space])
     powers = np.array([machine.true_power(profile, c) for c in space])
-    return TradeoffEstimate.from_truth(rates, powers)
+    return TradeoffEstimate(rates=rates, powers=powers,
+                            estimator_name="exhaustive")
 
 
 class TestValidation:

@@ -79,9 +79,10 @@ class TestHeteroTopology:
         assert BIG_LITTLE.total_tdp_watts == pytest.approx(78.0)
 
     def test_cluster_lookup(self):
-        assert BIG_LITTLE.cluster_named("little").perf_scale < 1.0
+        little = BIG_LITTLE.cluster_index("little")
+        assert BIG_LITTLE.clusters[little].perf_scale < 1.0
         with pytest.raises(KeyError):
-            BIG_LITTLE.cluster_named("huge")
+            BIG_LITTLE.cluster_index("huge")
 
     def test_duplicate_cluster_names_rejected(self):
         with pytest.raises(ValueError):

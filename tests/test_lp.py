@@ -18,17 +18,6 @@ class TestGeometry:
     def test_max_rate(self, simple):
         assert simple.max_rate == 5.0
 
-    def test_work_for_utilization(self, simple):
-        assert simple.work_for_utilization(0.5, 10.0) == pytest.approx(25.0)
-
-    def test_work_for_utilization_validation(self, simple):
-        with pytest.raises(ValueError):
-            simple.work_for_utilization(0.0, 10.0)
-        with pytest.raises(ValueError):
-            simple.work_for_utilization(1.1, 10.0)
-        with pytest.raises(ValueError):
-            simple.work_for_utilization(0.5, 0.0)
-
 
 class TestHullSolve:
     def test_schedule_meets_work_and_deadline(self, simple):

@@ -149,10 +149,3 @@ class TestScheduleProperties:
         lo = min(idle, powers.min()) * schedule.total_time
         hi = max(idle, powers.max()) * schedule.total_time
         assert lo - 1e-6 <= energy <= hi + 1e-6
-
-    @settings(deadline=None, max_examples=40)
-    @given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-           st.floats(min_value=50.0, max_value=100.0, allow_nan=False))
-    def test_padding_reaches_exact_deadline(self, busy, deadline):
-        schedule = Schedule([Slot(0, busy)]).padded_to(deadline)
-        assert schedule.total_time == pytest.approx(deadline)

@@ -42,26 +42,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule([Slot(None, 1.0)]).energy([], idle_power=-1.0)
 
-    def test_average_rate(self):
-        schedule = Schedule([Slot(0, 5.0), Slot(None, 5.0)])
-        assert schedule.average_rate([10.0]) == pytest.approx(5.0)
-
-    def test_average_rate_empty_schedule(self):
-        assert Schedule([]).average_rate([1.0]) == 0.0
-
-    def test_padded_to_appends_idle(self):
-        schedule = Schedule([Slot(0, 4.0)]).padded_to(10.0)
-        assert schedule.total_time == pytest.approx(10.0)
-        assert schedule.slots[-1].config_index is None
-
-    def test_padded_to_noop_when_full(self):
-        schedule = Schedule([Slot(0, 10.0)]).padded_to(10.0)
-        assert len(schedule) == 1
-
-    def test_padded_to_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            Schedule([Slot(0, 11.0)]).padded_to(10.0)
-
     def test_repr_mentions_slots(self):
         text = repr(Schedule([Slot(3, 1.0), Slot(None, 2.0)]))
         assert "c3" in text and "idle" in text

@@ -43,25 +43,6 @@ class TestSocketsForCores:
             PAPER_TOPOLOGY.sockets_for_cores(17)
 
 
-class TestCoresOnSocket:
-    def test_packing_order(self):
-        assert PAPER_TOPOLOGY.cores_on_socket(10, 0) == 8
-        assert PAPER_TOPOLOGY.cores_on_socket(10, 1) == 2
-
-    def test_empty_second_socket(self):
-        assert PAPER_TOPOLOGY.cores_on_socket(5, 1) == 0
-
-    def test_sums_to_allocation(self):
-        for cores in range(17):
-            total = sum(PAPER_TOPOLOGY.cores_on_socket(cores, s)
-                        for s in range(PAPER_TOPOLOGY.sockets))
-            assert total == cores
-
-    def test_rejects_bad_socket(self):
-        with pytest.raises(ValueError):
-            PAPER_TOPOLOGY.cores_on_socket(4, 2)
-
-
 class TestValidation:
     def test_rejects_zero_sockets(self):
         with pytest.raises(ValueError):
