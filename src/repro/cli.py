@@ -345,6 +345,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         return 1
     try:
         view = ctx.dataset.leave_one_out(args.benchmark)
+        estimator = create_estimator(args.estimator)
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -365,7 +366,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     controller = RuntimeController(
         machine=machine, space=ctx.space,
-        estimator=create_estimator(args.estimator),
+        estimator=estimator,
         prior_rates=view.prior_rates, prior_powers=view.prior_powers,
         sampler=RandomSampler(seed=args.seed))
     work = args.utilization * float(truth.true_rates.max()) * args.deadline
@@ -551,6 +552,12 @@ def _cmd_hetero(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if not 0 < args.utilization <= 1:
         print("--utilization must be in (0, 1]", file=sys.stderr)
+        return 1
+    if not 0 < args.deadline < np.inf:
+        print("--deadline must be positive and finite", file=sys.stderr)
+        return 1
+    if args.windows < 1:
+        print("--windows must be >= 1", file=sys.stderr)
         return 1
     from repro.errors import FaultPlanError
     from repro.experiments.chaos import chaos_run

@@ -152,7 +152,7 @@ class TelemetryError(ReproError):
 
 
 class SensorReadError(TelemetryError):
-    """A sensor reading was lost (meter dropout).
+    """A sensor reading was lost (sensor dropout).
 
     The application kept running — the machine's clock, energy, and
     heartbeats still advanced — but the *observation* of the window

@@ -3,11 +3,12 @@
 The framework has three pieces:
 
 * :mod:`repro.faults.plan` — typed :class:`FaultSpec` / named, seeded
-  :class:`FaultPlan` (JSON round-trippable).
+  :class:`FaultPlan`: fifteen fault kinds over ten sites.
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, which
   evaluates a plan deterministically at the injection sites threaded
-  through the stack (machine measurement, telemetry, EM, estimators,
-  the service client, persistence writes, the cluster coordinator).
+  through the stack (machine measurement, EM, estimators, the service
+  client, persistence writes, the cluster coordinator, the sharded
+  fleet's routing, calls and replica sync).
 * :mod:`repro.faults.context` — the ambient contextvar install
   (:func:`use` / :func:`get_injector`), mirroring :mod:`repro.obs`;
   the default :data:`NULL_INJECTOR` keeps the fault-free path

@@ -22,11 +22,6 @@ kind                      site                   effect when fired
                                                  ``magnitude``
 ``sensor-bias``           ``machine.measure``    power reading scaled by
                                                  ``1 + magnitude``
-``meter-dropout``         ``telemetry.meter``    meter sample lost
-``meter-outlier``         ``telemetry.meter``    meter sample × ``magnitude``
-``meter-bias``            ``telemetry.meter``    meter sample + ``magnitude`` W
-``heartbeat-stall``       ``telemetry.heartbeat``  beats silently dropped while
-                                                 the window is active
 ``em-nonconvergence``     ``em.fit``             fit raises
                                                  :class:`ConvergenceError`
 ``singular-covariance``   ``em.fit``             initial Sigma degraded to
@@ -81,10 +76,6 @@ KIND_SITES: Dict[str, str] = {
     "sensor-dropout": "machine.measure",
     "sensor-outlier": "machine.measure",
     "sensor-bias": "machine.measure",
-    "meter-dropout": "telemetry.meter",
-    "meter-outlier": "telemetry.meter",
-    "meter-bias": "telemetry.meter",
-    "heartbeat-stall": "telemetry.heartbeat",
     "em-nonconvergence": "em.fit",
     "singular-covariance": "em.fit",
     "estimator-crash": "estimator.fit",
@@ -104,7 +95,7 @@ SITES: Tuple[str, ...] = tuple(sorted(set(KIND_SITES.values())))
 
 #: Kinds that describe a *state* over a window (queried with
 #: :meth:`FaultInjector.active`) rather than a per-event firing.
-WINDOWED_KINDS: Tuple[str, ...] = ("heartbeat-stall", "cap-transient")
+WINDOWED_KINDS: Tuple[str, ...] = ("cap-transient",)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -34,10 +34,6 @@ def _sensors(seed: int = 0) -> FaultPlan:
         FaultSpec("sensor-dropout", end=h, probability=0.05),
         FaultSpec("sensor-outlier", end=h, probability=0.03, magnitude=4.0),
         FaultSpec("sensor-bias", end=h, probability=0.10, magnitude=0.15),
-        FaultSpec("meter-dropout", end=h, probability=0.05),
-        FaultSpec("meter-outlier", end=h, probability=0.03, magnitude=4.0),
-        FaultSpec("meter-bias", end=h, probability=0.10, magnitude=3.0),
-        FaultSpec("heartbeat-stall", start=10.0, end=16.0),
     ))
 
 
@@ -93,10 +89,6 @@ def default_plan(seed: int = 0) -> FaultPlan:
         FaultSpec("sensor-dropout", end=h, probability=0.05),
         FaultSpec("sensor-outlier", end=h, probability=0.03, magnitude=4.0),
         FaultSpec("sensor-bias", end=h, probability=0.10, magnitude=0.15),
-        FaultSpec("meter-dropout", end=h, probability=0.05),
-        FaultSpec("meter-outlier", end=h, probability=0.03, magnitude=4.0),
-        FaultSpec("meter-bias", end=h, probability=0.10, magnitude=3.0),
-        FaultSpec("heartbeat-stall", start=10.0, end=16.0),
         # Estimation
         FaultSpec("em-nonconvergence", probability=0.5, max_events=2),
         FaultSpec("singular-covariance", probability=0.5, max_events=2,

@@ -299,8 +299,8 @@ class HeteroConfiguration(Configuration):
 
     The base fields hold the aggregates (``cores``/``threads`` summed
     over clusters, ``speed`` of the first active cluster) so every
-    aggregate-only consumer — the LP layer, partitioning, telemetry —
-    keeps working unchanged.  SMT contexts are not a hetero knob:
+    aggregate-only consumer — the LP layer, partitioning — keeps working
+    unchanged.  SMT contexts are not a hetero knob:
     ``threads == cores`` always (asymmetric mobile-style clusters run
     SMT-off).
 

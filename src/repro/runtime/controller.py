@@ -923,20 +923,17 @@ class RuntimeController:
         buys the faulty tier another full cooldown.
         """
         ladder = self.ladder
-        previous = ladder.tier_index
-        target = previous - 1
         clock_before = self.machine.clock
-        ladder.tier_index = target
+        ladder.begin_probe()
         try:
             estimate = self.calibrate(profile, sample_window=0.25)
         except InsufficientSamplesError:
-            ladder.tier_index = previous
             ladder.record_failed_probe()
             return None, self.machine.clock - clock_before
-        if ladder.tier_index <= target:
+        if ladder.probe_origin is not None:
             ladder.record_promotion(ladder.tier_index)
-        # else: the calibration fell back below the target, and its
-        # demote_to already re-opened the breaker (the probe failed).
+        # else: the calibration fell back, and demote_to ended the probe
+        # (a failed probe, or one demotion below the rung it left).
         return estimate, self.machine.clock - clock_before
 
     # ------------------------------------------------------------------

@@ -197,6 +197,8 @@ class DegradationLadder:
         self.tier_index = 0
         self.demotions = 0
         self.promotions = 0
+        #: The rung a promotion probe left, while the probe calibrates.
+        self.probe_origin: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property
@@ -214,7 +216,18 @@ class DegradationLadder:
 
     # ------------------------------------------------------------------
     def demote_to(self, index: int, reason: str) -> None:
-        """Record that estimation only succeeded at rung ``index``."""
+        """Record that estimation only succeeded at rung ``index``.
+
+        During a probe the descent counts from the rung the probe left:
+        falling back onto it is a failed probe, not a demotion, since
+        the probe never promoted anything.
+        """
+        origin = self.probe_origin
+        if origin is not None:
+            if index <= origin:
+                self.record_failed_probe()
+                return
+            self.tier_index, self.probe_origin = origin, None
         if index <= self.tier_index:
             return
         previous = self.tiers[self.tier_index].name
@@ -251,8 +264,19 @@ class DegradationLadder:
         """Whether a probe of the tier above is due."""
         return self.degraded and self.breaker.allows_probe
 
+    def begin_probe(self) -> None:
+        """Trust the rung above for one probe calibration.
+
+        The probe ends in :meth:`record_promotion` if that calibration
+        holds the rung, or in :meth:`demote_to` /
+        :meth:`record_failed_probe` if it does not.
+        """
+        self.probe_origin = self.tier_index
+        self.tier_index -= 1
+
     def record_promotion(self, achieved_index: int) -> None:
         """A probe landed at ``achieved_index`` (< the old rung)."""
+        self.probe_origin = None
         self.tier_index = achieved_index
         self.promotions += 1
         self.breaker.record_success()
@@ -272,6 +296,10 @@ class DegradationLadder:
                     extra={"fields": {"to": self.current.name}})
 
     def record_failed_probe(self) -> None:
+        """A probe did not hold the rung above: back to the rung it
+        left, and re-open the breaker."""
+        if self.probe_origin is not None:
+            self.tier_index, self.probe_origin = self.probe_origin, None
         self.breaker.record_failure()
 
     # -- checkpoint plumbing -------------------------------------------

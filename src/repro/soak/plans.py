@@ -11,7 +11,7 @@ of day 3 strikes exactly the cluster bursts and fleet probes that run
 inside that window, every time, for a given seed.
 
 Alongside the scheduled incidents, a low-probability **background** of
-sensor and meter noise runs for the whole horizon.  Machine-facing
+machine sensor noise runs for the whole horizon.  Machine-facing
 faults are windowed in each machine's *local* clock (machines pass
 their own clock to the injector), which spans only seconds per tenant —
 so background specs are always-on rather than day-phased.
@@ -116,11 +116,10 @@ _INCIDENT_TEMPLATES: Tuple[Tuple[str, float, float,
     )),
 )
 
-#: Always-on machine/meter noise (machine-local clocks, see module doc).
+#: Always-on machine sensor noise (machine-local clocks, see module doc).
 _BACKGROUND_SPECS: Tuple[Tuple[str, float, float], ...] = (
     ("sensor-dropout", 0.02, 1.0),
     ("sensor-bias", 0.05, 0.10),
-    ("meter-dropout", 0.02, 1.0),
 )
 
 #: Probability multiplier per profile; ``None`` drops the incidents.

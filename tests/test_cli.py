@@ -83,6 +83,12 @@ class TestOptimize:
         assert main(["optimize", flag, value, "--space", "cores"]) == 1
         assert flag in capsys.readouterr().err
 
+    def test_rejects_unknown_estimator(self, capsys):
+        assert main(["optimize", "--estimator", "nosuch",
+                     "--space", "cores"]) == 1
+        err = capsys.readouterr().err
+        assert "nosuch" in err and len(err.strip().splitlines()) == 1
+
     def test_estimator_choice(self, capsys):
         code = main(["optimize", "--benchmark", "x264",
                      "--space", "cores", "--estimator", "offline",
@@ -121,6 +127,14 @@ class TestChaos:
     def test_rejects_bad_utilization(self, capsys):
         assert main(["chaos", "--utilization", "0",
                      "--space", "cores"]) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--deadline", "0"), ("--deadline", "-1"), ("--deadline", "nan"),
+        ("--deadline", "inf"), ("--windows", "0"), ("--windows", "-2"),
+    ])
+    def test_rejects_bad_deadline_and_windows(self, flag, value, capsys):
+        assert main(["chaos", flag, value, "--space", "cores"]) == 1
+        assert flag in capsys.readouterr().err
 
 
 class TestSoakCommand:

@@ -10,17 +10,16 @@ bounded number of healthy quanta once the faults clear.
 import numpy as np
 import pytest
 
-from repro.errors import InsufficientSamplesError, SensorReadError
+from repro.errors import InsufficientSamplesError
 from repro.estimators.leo import LEOEstimator
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, use
 from repro.faults.plans import default_plan
+from repro.obs import Observability, use as use_observability
 from repro.platform.machine import Machine
 from repro.platform.topology import PAPER_TOPOLOGY
 from repro.runtime.controller import RuntimeController
 from repro.runtime.resilience import PINNED_TIER
 from repro.runtime.sampling import RandomSampler
-from repro.telemetry.heartbeats import HeartbeatMonitor
-from repro.telemetry.power_meter import WattsUpMeter
 from repro.workloads.suite import get_benchmark
 
 
@@ -37,6 +36,24 @@ def build_controller(cores_space, cores_dataset, promotion_cooldown=3,
 
 def plan(*specs, seed=0):
     return FaultPlan(name="test", seed=seed, specs=specs)
+
+
+def _probed_run(cores_space, cores_dataset, kmeans, *specs):
+    """Calibrate under ``specs``, then run one 60 s window whose
+    promotion probes climb back up the ladder."""
+    controller = build_controller(cores_space, cores_dataset,
+                                  promotion_cooldown=3)
+    ob = Observability.recording()
+    with use_observability(ob), use(FaultInjector(plan(*specs))) as injector:
+        estimate = controller.calibrate(kmeans)
+        work = 0.4 * estimate.rates.max() * 60.0
+        controller.run(kmeans, work, 60.0, estimate)
+    return controller.ladder, ob, injector
+
+
+def _demote_spans(ob):
+    return [(s.attributes["from_tier"], s.attributes["to_tier"])
+            for s in ob.tracer.spans if s.name == "resilience.demote"]
 
 
 class TestCalibrationFaults:
@@ -155,6 +172,41 @@ class TestRunFaults:
         assert controller.ladder.promotions >= 1
         assert report.energy > 0
 
+    def test_probe_that_falls_back_is_not_a_demotion(
+            self, cores_space, cores_dataset, kmeans):
+        # estimator.fit events: 0 crashes the first calibration's LEO
+        # fit (online fits at 1-2); 3 crashes the first probe's LEO fit,
+        # which falls back to online (4-5); the next probe promotes.
+        ladder, ob, injector = _probed_run(
+            cores_space, cores_dataset, kmeans,
+            FaultSpec("estimator-crash", end=1.0, probability=1.0),
+            FaultSpec("estimator-crash", start=3.0, end=4.0,
+                      probability=1.0))
+        assert injector.fired_counts == {"estimator-crash": 2}
+        assert ladder.tier_index == 0
+        assert (ladder.demotions, ladder.promotions) == (1, 1)
+        counters = ob.metrics.snapshot()["counters"]
+        assert counters["resilience_demotions_total"] == 1
+        assert counters["resilience_promotions_total"] == 1
+        assert ob.slo.events["ladder-demotion"] == 1
+        assert _demote_spans(ob) == [("leo", "online")]
+
+    def test_probe_landing_below_its_rung_is_one_demotion(
+            self, cores_space, cores_dataset, kmeans):
+        # The first probe's LEO and online fits both crash (events 3-4),
+        # so it lands on offline: one demotion, from online.
+        ladder, ob, injector = _probed_run(
+            cores_space, cores_dataset, kmeans,
+            FaultSpec("estimator-crash", end=1.0, probability=1.0),
+            FaultSpec("estimator-crash", start=3.0, end=5.0,
+                      probability=1.0))
+        assert injector.fired_counts == {"estimator-crash": 3}
+        assert _demote_spans(ob) == [("leo", "online"),
+                                     ("online", "offline")]
+        assert ladder.demotions == 2
+        assert ob.metrics.snapshot()["counters"][
+            "resilience_demotions_total"] == 2
+
     def test_full_default_plan_never_raises(
             self, cores_space, cores_dataset, kmeans):
         controller = build_controller(cores_space, cores_dataset)
@@ -166,38 +218,3 @@ class TestRunFaults:
                                         adapt=True)
                 assert report.energy > 0
             assert injector.total_fired > 0
-
-
-class TestTelemetryFaults:
-    def _machine(self, kmeans, cores_space):
-        machine = Machine(PAPER_TOPOLOGY, seed=7)
-        machine.load(kmeans)
-        machine.apply(cores_space[4])
-        return machine
-
-    def test_meter_dropout_raises_typed_error(self, kmeans, cores_space):
-        machine = self._machine(kmeans, cores_space)
-        meter = WattsUpMeter(machine)
-        with use(FaultInjector(plan(
-                FaultSpec("meter-dropout", probability=1.0)))):
-            with pytest.raises(SensorReadError) as exc:
-                meter.sample()
-        assert exc.value.site == "telemetry.meter"
-
-    def test_meter_bias_shifts_readings(self, kmeans, cores_space):
-        machine = self._machine(kmeans, cores_space)
-        clean = WattsUpMeter(machine, noise_std=0.0, quantum=0.0).sample()
-        meter = WattsUpMeter(machine, noise_std=0.0, quantum=0.0)
-        with use(FaultInjector(plan(
-                FaultSpec("meter-bias", probability=1.0, magnitude=25.0)))):
-            biased = meter.sample()
-        assert biased.watts == pytest.approx(clean.watts + 25.0)
-
-    def test_heartbeat_stall_drops_beats(self):
-        monitor = HeartbeatMonitor(window=5)
-        with use(FaultInjector(plan(
-                FaultSpec("heartbeat-stall", start=2.0, end=4.0)))):
-            for t in range(6):
-                monitor.heartbeat(float(t), beats=10.0)
-        # Beats at t=2 and t=3 were stalled away.
-        assert monitor.total_beats == 40.0

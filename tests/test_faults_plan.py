@@ -17,7 +17,6 @@ class TestFaultSpec:
         assert FaultSpec("partial-write").site == "persistence.write"
 
     def test_windowed_kinds(self):
-        assert FaultSpec("heartbeat-stall").windowed
         assert FaultSpec("cap-transient").windowed
         assert not FaultSpec("sensor-dropout").windowed
 
@@ -135,12 +134,12 @@ class TestInjectorSemantics:
         assert injector.fire("em.fit")      # event 2
 
     def test_windowed_kinds_only_answer_active(self):
-        plan = FaultPlan(name="stall", specs=(
-            FaultSpec("heartbeat-stall", start=1.0, end=2.0),))
+        plan = FaultPlan(name="brownout", specs=(
+            FaultSpec("cap-transient", start=1.0, end=2.0),))
         injector = FaultInjector(plan)
-        assert not injector.fire("telemetry.heartbeat", clock=1.5)
-        assert injector.active("telemetry.heartbeat", clock=1.5)
-        assert not injector.active("telemetry.heartbeat", clock=2.5)
+        assert not injector.fire("cluster.cap", clock=1.5)
+        assert injector.active("cluster.cap", clock=1.5)
+        assert not injector.active("cluster.cap", clock=2.5)
         # active() is a pure query: no counters, no metrics.
         assert injector.total_fired == 0
 

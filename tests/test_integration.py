@@ -18,7 +18,6 @@ from repro.platform.machine import Machine
 from repro.runtime.controller import RuntimeController, TradeoffEstimate
 from repro.runtime.race_to_idle import RaceToIdleController
 from repro.runtime.sampling import RandomSampler
-from repro.telemetry.power_meter import WattsUpMeter
 from repro.workloads.suite import get_benchmark, paper_suite
 from repro.workloads.traces import OfflineDataset
 
@@ -126,16 +125,14 @@ class TestMeterIntegration:
             sampler=RandomSampler(seed=3), sample_count=6)
         estimate = controller.calibrate(x264)
 
-        meter = WattsUpMeter(machine, noise_std=0.0, quantum=0.0)
         work = 0.4 * estimate.rates.max() * 30.0
         energy_before = machine.total_energy
-        meter.sample()
+        clock_before = machine.clock
         report = controller.run(x264, work, 30.0, estimate)
-        meter.sample()
         measured = machine.total_energy - energy_before
         assert report.energy == pytest.approx(measured, rel=1e-9)
-        # The meter's two samples bracket the run in time.
-        assert meter.log[-1].time - meter.log[0].time == pytest.approx(30.0)
+        # The run spans its whole window on the machine's clock.
+        assert machine.clock - clock_before == pytest.approx(30.0)
 
 
 class TestDeterminism:

@@ -1,19 +1,17 @@
 """Property-based tests for the data-plumbing layers.
 
-Covers ObservationSet mask grouping, HeartbeatMonitor rate arithmetic
-and the model registry's publish/warm-read round-trip — the pieces whose
+Covers ObservationSet mask grouping and the model registry's
+publish/warm-read round-trip — the pieces whose
 bugs would silently corrupt experiments rather than crash them.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.observation import ObservationSet
 from repro.runtime.controller import TradeoffEstimate
 from repro.service.registry import ModelRegistry
-from repro.telemetry.heartbeats import HeartbeatMonitor
 
 
 class TestObservationSetProperties:
@@ -46,33 +44,6 @@ class TestObservationSetProperties:
                 mask[i, 0] = True
         obs = ObservationSet(np.ones((m, n)), mask)
         assert obs.total_observations == int(mask.sum())
-
-
-class TestHeartbeatProperties:
-    @settings(deadline=None, max_examples=40)
-    @given(st.lists(st.tuples(
-        st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False)),
-        min_size=2, max_size=30))
-    def test_window_rate_bounded_by_peak_instantaneous(self, steps):
-        """The windowed rate never exceeds the max per-step rate."""
-        monitor = HeartbeatMonitor(window=10)
-        t = 0.0
-        peak = 0.0
-        for dt, beats in steps:
-            t += dt
-            monitor.heartbeat(t, beats=beats)
-            peak = max(peak, beats / dt)
-        assert monitor.window_rate() <= peak + 1e-6
-
-    @settings(deadline=None, max_examples=40)
-    @given(st.floats(min_value=0.1, max_value=50.0, allow_nan=False),
-           st.integers(3, 20))
-    def test_constant_stream_recovers_rate(self, rate, count):
-        monitor = HeartbeatMonitor(window=count + 1)
-        for i in range(count):
-            monitor.heartbeat((i + 1) / rate, beats=1.0)
-        assert monitor.window_rate() == pytest.approx(rate, rel=1e-6)
 
 
 class TestStoreProperties:

@@ -152,6 +152,19 @@ class TestDegradationLadder:
         ladder.note_healthy_quantum()
         assert ladder.promotion_ready
 
+    def test_probe_that_falls_back_is_not_a_demotion(self):
+        ladder = make_ladder(cooldown=1)
+        ladder.demote_to(1, reason="x")
+        ladder.note_healthy_quantum()
+        ladder.begin_probe()
+        assert ladder.current.name == "leo"
+        ladder.demote_to(1, reason="the probe's fit fell back")
+        assert (ladder.tier_index, ladder.demotions) == (1, 1)
+        assert not ladder.promotion_ready
+        ladder.begin_probe()
+        ladder.demote_to(2, reason="it fell further")
+        assert (ladder.tier_index, ladder.demotions) == (2, 2)
+
     def test_healthy_quanta_ignored_until_degraded(self):
         ladder = make_ladder(cooldown=1)
         ladder.note_healthy_quantum()
