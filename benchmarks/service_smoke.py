@@ -7,12 +7,14 @@ Usage::
 Starts a real ``python -m repro serve`` subprocess (ephemeral port, one
 worker, admission bound 2), then drives it the way a deployment would:
 
-* concurrent ``sleep`` requests fill the admission budget and the next
-  request must be shed with a typed ``ServiceOverloaded`` well inside
-  its own deadline — the bounded-broker guarantee;
 * a cold ``calibrate-report`` publishes version 1 to the registry and a
   second, warm request returns the identical curves with zero samples —
   the cross-tenant amortization guarantee;
+* concurrent ``sleep`` requests fill the admission budget; an
+  ``optimize`` and a warm ``calibrate-report``, which the broker runs
+  on its event loop, still answer, and the next ``sleep`` must be shed
+  with a typed ``ServiceOverloaded`` well inside its own deadline — the
+  bounded-broker guarantee;
 * the version file that publish wrote is a schema-2 record (curves as
   base64 float64 bytes), and a schema-1 record with float lists, as an
   older build wrote it, is served warm with exactly its curves;
@@ -82,7 +84,9 @@ def start_server(registry_dir: str):
 
 
 def check_admission(address) -> None:
-    """Fill the budget with sleeps; the next request must shed fast."""
+    """Fill the budget with sleeps: an ``optimize`` and a warm read
+    still answer on the loop, and the next ``sleep`` must shed fast.
+    The warm read needs the model :func:`check_warm_start` published."""
     occupiers = []
 
     def occupy():
@@ -96,6 +100,16 @@ def check_admission(address) -> None:
     wait_for_admitted(address, MAX_PENDING)
 
     with ServiceClient(address, timeout=30.0) as client:
+        solved = client.call("optimize", {
+            "rates": np.array([1.0, 2.0, 4.0]),
+            "powers": np.array([10.0, 15.0, 40.0]),
+            "idle_power": 5.0, "work": 100.0, "deadline": 50.0},
+            deadline_s=5.0)
+        assert solved["energy"] > 0, solved
+        warm = client.call("calibrate-report", {
+            "app": "kmeans", "space": "cores", "samples": 6,
+            "estimator": "leo"}, deadline_s=5.0)
+        assert warm["source"] == "registry", warm
         started = time.monotonic()
         try:
             client.sleep(0.1, deadline_s=5.0)
@@ -108,7 +122,8 @@ def check_admission(address) -> None:
     for thread in threads:
         thread.join(30.0)
     assert len(occupiers) == MAX_PENDING, "admitted sleeps must complete"
-    print(f"admission: bound {MAX_PENDING} held, overflow shed in "
+    print(f"admission: bound {MAX_PENDING} held, an optimize and a warm "
+          f"read answered on the loop, overflow sleep shed in "
           f"{elapsed * 1e3:.0f}ms")
 
 
@@ -226,8 +241,8 @@ def main() -> int:
         try:
             with ServiceClient(address, timeout=10.0) as client:
                 assert client.ping()["pong"] is True
-            check_admission(address)
             num_configs = check_warm_start(address)
+            check_admission(address)
             check_older_records(address, registry, num_configs)
             check_paper_estimate(address)
             check_request_command(address)

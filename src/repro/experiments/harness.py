@@ -135,6 +135,21 @@ class ExperimentContext:
         return self.machine().idle_power()
 
 
+def _standard_space(space_kind: str) -> ConfigurationSpace:
+    """A new standard configuration space, ``"paper"`` or ``"cores"``."""
+    if space_kind == "paper":
+        return ConfigurationSpace.paper_space()
+    if space_kind == "cores":
+        return ConfigurationSpace.cores_only()
+    raise ValueError(f"space_kind must be 'paper' or 'cores', got {space_kind!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def space_size(space_kind: str = "paper") -> int:
+    """Configurations in a standard space, without building a context."""
+    return len(_standard_space(space_kind))
+
+
 @functools.lru_cache(maxsize=4)
 def default_context(space_kind: str = "paper", seed: int = 0
                     ) -> ExperimentContext:
@@ -144,12 +159,7 @@ def default_context(space_kind: str = "paper", seed: int = 0
     twice (noisy priors + clean truth); caching keeps that cost to once
     per process.
     """
-    if space_kind == "paper":
-        space = ConfigurationSpace.paper_space()
-    elif space_kind == "cores":
-        space = ConfigurationSpace.cores_only()
-    else:
-        raise ValueError(f"space_kind must be 'paper' or 'cores', got {space_kind!r}")
+    space = _standard_space(space_kind)
     suite = tuple(paper_suite())
     collector = Machine(space.topology, seed=seed + 1)
     dataset = OfflineDataset.collect(collector, suite, space, noisy=True)

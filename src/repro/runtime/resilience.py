@@ -300,7 +300,10 @@ class DegradationLadder:
         left, and re-open the breaker."""
         if self.probe_origin is not None:
             self.tier_index, self.probe_origin = self.probe_origin, None
+        was_open = self.breaker.state == CircuitBreaker.OPEN
         self.breaker.record_failure()
+        if not was_open and self.breaker.state == CircuitBreaker.OPEN:
+            get_observability().slo.record_event("breaker-open")
 
     # -- checkpoint plumbing -------------------------------------------
     def snapshot(self) -> dict:

@@ -20,10 +20,17 @@ Three layers, separable for testing:
 * :class:`ServerThread` — the broker on a background thread, for tests
   and in-process embedding.
 
-Handlers run on a thread pool so the event loop stays free to shed and
+Fits run on a thread pool so the event loop stays free to shed and
 answer inline operations (``ping``, ``metrics``, ``shutdown``) even
 while every worker is busy — that is what makes the overload response
 arrive *within* the shedded request's deadline rather than after it.
+Two bounded requests run on the loop instead, because handing them to
+a worker and back costs more than they do: an ``optimize`` whose curves
+hold at most :data:`LOOP_MAX_CONFIGS` configurations, and an unforced
+``calibrate-report`` that the registry answers.  Like ``ping``, they
+are never queued or shed and take no admission budget; their deadline
+is checked before they start.  A registry miss, a forced calibration,
+``estimate``, ``sleep`` and ``registry-list`` go to the pool.
 
 Observability: the loop thread owns the shared
 :class:`~repro.obs.MetricsRegistry` (``service_requests_total``,
@@ -31,16 +38,17 @@ Observability: the loop thread owns the shared
 ``service_deadline_exceeded_total``, ``service_pending`` gauge,
 ``service_request_seconds`` histogram), so the asserted counters are
 updated single-threaded.  Per-request spans use a *per-request*
-:class:`~repro.obs.Tracer` recorded entirely on the worker thread
-running the handler — the repo tracer keeps one span stack and must not
-be shared across concurrent requests — and are collected into
-:attr:`ServiceServer.request_spans` for export.
+:class:`~repro.obs.Tracer` recorded entirely on the thread running the
+handler (a worker, or the loop for a bounded request) — the repo tracer
+keeps one span stack and must not be shared across concurrent requests
+— and are collected into :attr:`ServiceServer.request_spans` for export.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import itertools
 import logging
 import os
@@ -58,6 +66,7 @@ from repro.experiments.harness import (
     estimate_curves,
     random_indices,
     sample_target,
+    space_size,
 )
 from repro.obs import (
     MetricsRegistry,
@@ -102,9 +111,18 @@ logger = logging.getLogger(__name__)
 #: concurrent requests share one execution.
 COALESCABLE_OPS = frozenset({"estimate", "calibrate-report"})
 
-#: Operations answered on the event loop itself — never queued, never
-#: shed, so a client can always probe a saturated server.
+#: Transport operations the loop answers without a handler scope —
+#: never queued, never shed, so a client can always probe a saturated
+#: server.  Bounded ``optimize`` and warm ``calibrate-report`` requests
+#: run on the loop too, through the handler scope
+#: (:meth:`ServiceServer._answer_on_loop`).
 INLINE_OPS = frozenset({"ping", "metrics", "shutdown"})
+
+#: Largest ``optimize`` (configurations per curve) the loop solves
+#: itself.  Its handler takes about 0.2 ms at 1,024 configurations and
+#: 0.7 ms at 4,096 (2-vCPU VM), short enough to hold the loop for; one
+#: at 1,048,576 took 436 ms, so larger curves go to the pool.
+LOOP_MAX_CONFIGS = 4096
 
 #: Upper bound on the ``sleep`` diagnostic, so a typo cannot pin a
 #: worker for an hour.
@@ -197,37 +215,55 @@ class EstimationService:
             "max_rate": minimizer.max_rate,
         }
 
-    def _op_calibrate_report(self, payload: Dict[str, Any]
-                             ) -> Dict[str, Any]:
-        """Calibrate one suite application, or serve it from the registry.
+    def warm_reply(self, payload: Dict[str, Any]
+                   ) -> Optional[Dict[str, Any]]:
+        """The registry's answer to a ``calibrate-report``, if it has one.
 
-        Warm path: a registry hit returns the published curves with
-        ``samples_used: 0`` — the returning tenant pays no sampling at
-        all (the paper's Section 6.7 amortization, across processes and
-        across tenants).  ``force: true`` bypasses the registry; a cold
-        calibration publishes its result for the next tenant.
+        A hit returns the published curves with ``samples_used: 0`` —
+        the returning tenant pays no sampling at all (the paper's
+        Section 6.7 amortization, across processes and across tenants).
+        ``None`` means the request must calibrate: it is forced, there
+        is no registry, or the registry holds no model for it.  The key
+        is sized by :func:`space_size`, so a warm read never builds an
+        experiment context.
         """
         app = payload.get("app")
         if not isinstance(app, str) or not app:
             raise RequestRejected("calibrate-report needs an 'app' name")
+        int(payload.get("seed", 0))  # a bad seed is a bad request
+        samples = int(payload.get("samples", 20))
+        if samples < 1:
+            raise RequestRejected(f"samples must be >= 1, got {samples}")
+        if self.registry is None or bool(payload.get("force", False)):
+            return None
+        estimator = payload.get("estimator", self.default_estimator)
+        n = space_size(payload.get("space", "paper"))
+        warm = self.registry.warm_estimate(app, n, estimator)
+        if warm is None:
+            return None
+        return {"source": "registry", "samples_used": 0,
+                "estimator": estimator, "num_configs": n,
+                "rates": encode_array(warm.rates),
+                "powers": encode_array(warm.powers)}
+
+    def _op_calibrate_report(self, payload: Dict[str, Any]
+                             ) -> Dict[str, Any]:
+        """Serve one suite application from the registry, or calibrate it.
+
+        ``force: true`` bypasses the registry (:meth:`warm_reply`); a
+        cold calibration publishes its result for the next tenant.
+        """
+        warm = self.warm_reply(payload)
+        if warm is not None:
+            return warm
+        app = payload["app"]
         space_kind = payload.get("space", "paper")
         seed = int(payload.get("seed", 0))
         estimator = payload.get("estimator", self.default_estimator)
         samples = int(payload.get("samples", 20))
-        if samples < 1:
-            raise RequestRejected(f"samples must be >= 1, got {samples}")
-        force = bool(payload.get("force", False))
 
         ctx = default_context(space_kind, seed)
         n = len(ctx.space)
-        if self.registry is not None and not force:
-            warm = self.registry.warm_estimate(app, n, estimator)
-            if warm is not None:
-                return {"source": "registry", "samples_used": 0,
-                        "estimator": estimator, "num_configs": n,
-                        "rates": encode_array(warm.rates),
-                        "powers": encode_array(warm.powers)}
-
         profile = ctx.profile(app)  # KeyError -> bad-request at the broker
         view = ctx.dataset.leave_one_out(app)
         indices = random_indices(n, min(samples, n), seed=seed + 7919)
@@ -471,45 +507,29 @@ class ServiceServer:
                     trace_id=trace_id))
             return
 
-        # Coalescing first: a request identical to an in-flight one adds
-        # no work, so it attaches to the running task without consuming
-        # admission budget.
-        key = (fingerprint(request.op, request.payload)
-               if request.op in COALESCABLE_OPS else None)
-        task = self._inflight.get(key) if key is not None else None
-        if task is not None:
-            self.metrics.inc("service_coalesced_total")
-        else:
-            # Admission control: the budget covers queued *and* running
-            # work, so with bound k the (k+1)-th concurrent request is
-            # shed here, synchronously, without touching the thread pool.
-            if self._admitted >= self.max_pending:
-                self.metrics.inc("service_shed_total")
-                self.observability.slo.record_event("service-shed")
-                exc = ServiceOverloaded(
-                    f"{self._admitted} requests already admitted "
-                    f"(bound {self.max_pending}); retry later",
-                    details={"max_pending": self.max_pending})
-                await self._send(writer,
-                                 Response.failure(request.request_id, exc,
-                                                  trace_id=trace_id))
-                return
-            self._admitted += 1
-            self.metrics.set_gauge("service_pending", self._admitted)
-            task = self._spawn_task(request, key)
-            task.add_done_callback(lambda _t: self._release())
-
         deadline = (request.deadline_s if request.deadline_s is not None
                     else self.default_deadline_s)
         try:
-            remaining = deadline - (self._loop.time() - received)
-            if remaining <= 0:
-                raise asyncio.TimeoutError
-            # shield(): a deadline expiry abandons *this waiter*, never
-            # the computation — coalesced followers may still need it,
-            # and a half-cancelled EM fit helps nobody.
-            payload = await asyncio.wait_for(asyncio.shield(task),
-                                             timeout=remaining)
+            payload = self._answer_on_loop(request, received, deadline)
+            if payload is None:
+                task = self._admit(request)
+                if task is None:
+                    await self._send(writer, Response.failure(
+                        request.request_id,
+                        ServiceOverloaded(
+                            f"{self._admitted} requests already admitted "
+                            f"(bound {self.max_pending}); retry later",
+                            details={"max_pending": self.max_pending}),
+                        trace_id=trace_id))
+                    return
+                remaining = deadline - (self._loop.time() - received)
+                if remaining <= 0:
+                    raise asyncio.TimeoutError
+                # shield(): a deadline expiry abandons *this waiter*, never
+                # the computation — coalesced followers may still need it,
+                # and a half-cancelled EM fit helps nobody.
+                payload = await asyncio.wait_for(asyncio.shield(task),
+                                                 timeout=remaining)
         except asyncio.TimeoutError:
             self.metrics.inc("service_deadline_exceeded_total")
             self.observability.slo.record_event("service-deadline-exceeded")
@@ -534,6 +554,56 @@ class ServiceServer:
         self.observability.slo.record_deadline(True)
         await self._send(writer,
                          Response.success(request.request_id, payload))
+
+    def _answer_on_loop(self, request: Request, received: float,
+                        deadline: float) -> Optional[Dict[str, Any]]:
+        """Answer a bounded request on the loop; ``None`` sends it to
+        the pool.
+
+        Two kinds cost less than the hand-off to a worker and back: an
+        ``optimize`` whose curves hold at most :data:`LOOP_MAX_CONFIGS`
+        configurations, and an unforced ``calibrate-report`` that the
+        registry answers.  Like ``ping``, neither is queued, shed or
+        counted against ``max_pending``; the deadline is checked once,
+        before the handler starts.  A registry miss goes to the pool.
+        """
+        payload = request.payload
+        if request.op == "optimize" and _fits_loop(payload):
+            handler = functools.partial(self.service.handle, request)
+        elif (request.op == "calibrate-report"
+              and not payload.get("force", False)):
+            handler = functools.partial(self.service.warm_reply, payload)
+        else:
+            return None
+        if self._loop.time() - received >= deadline:
+            raise asyncio.TimeoutError
+        return self._run_handler(request, handler)
+
+    def _admit(self, request: Request) -> Optional["asyncio.Future"]:
+        """The pooled execution ``request`` waits on; ``None`` = shed.
+
+        Coalescing first: a request identical to an in-flight one adds
+        no work, so it attaches to the running task without consuming
+        admission budget.  Then admission control: the budget covers
+        queued *and* running work, so with bound k the (k+1)-th
+        concurrent request is shed here, synchronously, without
+        touching the thread pool.
+        """
+        key = (fingerprint(request.op, request.payload)
+               if request.op in COALESCABLE_OPS else None)
+        task = self._inflight.get(key) if key is not None else None
+        if task is not None:
+            self.metrics.inc("service_coalesced_total")
+            return task
+        if self._admitted >= self.max_pending:
+            self.metrics.inc("service_shed_total")
+            self.observability.slo.record_event("service-shed")
+            return None
+        self._admitted += 1
+        self.metrics.set_gauge("service_pending", self._admitted)
+        task = self._spawn_task(request, key)
+        task.add_done_callback(lambda _t: self._release())
+        return task
 
     async def _send(self, writer: asyncio.StreamWriter,
                     response: Response) -> None:
@@ -563,7 +633,8 @@ class ServiceServer:
                     key: Optional[str]) -> "asyncio.Future":
         """Start one handler execution (the coalescing-group leader)."""
         task = asyncio.ensure_future(self._loop.run_in_executor(
-            self._executor, self._run_handler, request))
+            self._executor, self._run_handler, request,
+            functools.partial(self.service.handle, request)))
         # Keep "task exception was never retrieved" noise out of the
         # logs when every waiter timed out before the failure landed.
         task.add_done_callback(_observe_exception)
@@ -577,13 +648,16 @@ class ServiceServer:
         self._admitted -= 1
         self.metrics.set_gauge("service_pending", self._admitted)
 
-    def _run_handler(self, request: Request) -> Dict[str, Any]:
-        """Execute one handler on a worker thread.
+    def _run_handler(self, request: Request,
+                     handler: Callable[[], Optional[Dict[str, Any]]]
+                     ) -> Optional[Dict[str, Any]]:
+        """Execute one handler in the request's own observability scope.
 
-        contextvars do not follow ``run_in_executor``, so the worker
-        installs its own observability scope: a fresh per-request
-        tracer (the shared tracer's span stack is not concurrency-safe)
-        over the shared metrics registry.
+        Workers run pooled requests here, and the loop runs bounded
+        ones (:meth:`_answer_on_loop`).  contextvars do not follow
+        ``run_in_executor``, so the scope is installed here either way:
+        a fresh per-request tracer (the shared tracer's span stack is
+        not concurrency-safe) over the shared metrics registry.
 
         A request carrying a trace context gets traced even when the
         server's own tracer is off — the client's sampling decision
@@ -591,7 +665,9 @@ class ServiceServer:
         per-request tracer adopts the caller's trace id and parents its
         root span under the caller's span.  Span ids come from a
         per-request :func:`shard_span_base` block, so concurrent
-        handlers (and the remote caller) can never collide.
+        handlers (and the remote caller) can never collide.  A warm
+        read that misses (``handler`` returns ``None``) keeps no spans:
+        the worker that calibrates records the request's span.
         """
         ctx = (TraceContext.from_wire(request.trace)
                if request.trace is not None else None)
@@ -611,14 +687,17 @@ class ServiceServer:
         else:
             local = Observability(metrics=self.observability.metrics,
                                   slo=self.observability.slo)
+        missed = False
         try:
             with use(local):
                 with local.tracer.span("service.request", op=request.op,
                                        request_id=request.request_id):
-                    return self.service.handle(request)
+                    payload = handler()
+            missed = payload is None
+            return payload
         finally:
             spans = local.tracer.spans
-            if spans:
+            if spans and not missed:
                 self._request_spans.extend(spans)
 
 
@@ -641,6 +720,16 @@ async def _read_frame(reader: asyncio.StreamReader, first: bytes) -> bytes:
             f"truncated frame: connection closed with "
             f"{exc.expected - len(exc.partial)} bytes outstanding") from exc
     return prefix + body
+
+
+def _fits_loop(payload: Dict[str, Any]) -> bool:
+    """Whether an ``optimize`` payload's curves are sized sequences of
+    at most :data:`LOOP_MAX_CONFIGS` configurations."""
+    try:
+        return (max(len(payload["rates"]), len(payload["powers"]))
+                <= LOOP_MAX_CONFIGS)
+    except (KeyError, TypeError):
+        return False
 
 
 def _observe_exception(task: "asyncio.Future") -> None:

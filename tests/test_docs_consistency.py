@@ -183,9 +183,11 @@ def _resolves(name):
 
 class TestDocNames:
     def test_every_backticked_repro_name_resolves(self):
-        """Prose in README, DESIGN and docs/ names only what exists."""
+        """Prose in README, DESIGN, PAPER and docs/ names only what
+        exists."""
         mentions = set()
-        for path in ([ROOT / "README.md", ROOT / "DESIGN.md"]
+        for path in ([ROOT / "README.md", ROOT / "DESIGN.md",
+                      ROOT / "PAPER.md"]
                      + sorted((ROOT / "docs").glob("*.md"))):
             mentions |= {(path.name, name)
                          for name in DOTTED_NAME.findall(path.read_text())}

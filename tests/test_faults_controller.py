@@ -189,6 +189,8 @@ class TestRunFaults:
         assert counters["resilience_demotions_total"] == 1
         assert counters["resilience_promotions_total"] == 1
         assert ob.slo.events["ladder-demotion"] == 1
+        # The demotion opens the breaker, and so does the failed probe.
+        assert ob.slo.events["breaker-open"] == 2
         assert _demote_spans(ob) == [("leo", "online")]
 
     def test_probe_landing_below_its_rung_is_one_demotion(

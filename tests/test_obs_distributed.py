@@ -8,6 +8,7 @@ changes experiment results — tracing on and off are bit-identical.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator, Tenant
@@ -80,13 +81,24 @@ def client(server):
         yield c
 
 
+#: A 1024-config optimize: small enough to run on the broker's loop.
+OPTIMIZE = {"rates": np.linspace(1.0, 40.0, 1024),
+            "powers": np.linspace(80.0, 250.0, 1024),
+            "idle_power": 50.0, "work": 100.0, "deadline": 10.0}
+
+
 class TestServicePropagation:
-    def test_request_span_parents_under_client_span(self, server, client):
-        # "sleep" runs through the executor like a real fit (inline ops
-        # such as ping never reach the handler span).
+    @pytest.mark.parametrize("op, payload", [
+        ("sleep", {"seconds": 0.0}), ("optimize", OPTIMIZE)],
+        ids=["sleep", "optimize"])
+    def test_request_span_parents_under_client_span(self, server, client,
+                                                    op, payload):
+        # "sleep" runs on a worker like a real fit, and a bounded
+        # "optimize" on the broker's loop; both record the handler span
+        # (inline ops such as ping never reach it).
         ob = Observability.recording(trace_id=TRACE_ID)
         with use(ob):
-            client.call("sleep", {"seconds": 0.0})
+            client.call(op, payload)
         merged = merge_spans(ob.tracer.spans, server.server.request_spans)
         assert orphan_spans(merged) == []
         call = next(s for s in merged if s.name == "client.call")
@@ -96,6 +108,18 @@ class TestServicePropagation:
         # The stitched tree renders as one hierarchy.
         tree = render_span_tree(merged)
         assert tree.index("client.call") < tree.index("service.request")
+
+    def test_warm_read_miss_records_one_request_span(self, server, client):
+        # This server has no registry: the loop's warm read misses, and
+        # only the worker's calibration keeps a service.request span.
+        ob = Observability.recording(trace_id=TRACE_ID)
+        with use(ob):
+            reply = client.calibrate_report("kmeans", space="cores",
+                                            samples=6, estimator="offline")
+        assert reply["source"] == "calibration"
+        spans = server.server.request_spans
+        assert [s.name for s in spans].count("service.request") == 1
+        assert orphan_spans(merge_spans(ob.tracer.spans, spans)) == []
 
     def test_server_traces_only_when_asked(self, server, client):
         client.call("sleep", {"seconds": 0.0})

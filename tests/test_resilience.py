@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InsufficientSamplesError
+from repro.obs import Observability, use
 from repro.runtime.resilience import (
     PINNED_TIER,
     CircuitBreaker,
@@ -151,6 +152,18 @@ class TestDegradationLadder:
         assert not ladder.promotion_ready
         ladder.note_healthy_quantum()
         assert ladder.promotion_ready
+
+    def test_failed_probe_records_breaker_open(self):
+        ob = Observability.recording()
+        ladder = make_ladder(cooldown=1)
+        with use(ob):
+            ladder.demote_to(1, reason="x")
+            ladder.note_healthy_quantum()
+            ladder.begin_probe()
+            ladder.record_failed_probe()  # half-open -> open
+            ladder.record_failed_probe()  # already open: no new event
+        assert ladder.breaker.state == CircuitBreaker.OPEN
+        assert ob.slo.events["breaker-open"] == 2
 
     def test_probe_that_falls_back_is_not_a_demotion(self):
         ladder = make_ladder(cooldown=1)

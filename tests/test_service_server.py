@@ -5,15 +5,19 @@ overload and deadline behaviour depend only on how long a handler
 occupies a worker, and ``sleep`` makes that exact.
 """
 
+import contextlib
 import socket
+import statistics
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.clock import VirtualClock
 from repro.estimators import LEOEstimator, register, unregister
 from repro.estimators.base import EstimationProblem, Estimator
+from repro.experiments.harness import default_context, space_size
 from repro.optimize.lp import EnergyMinimizer
 from repro.runtime.controller import TradeoffEstimate
 from repro.service import (
@@ -27,6 +31,7 @@ from repro.service import (
 )
 from repro.service.frames import decode_binary_frame, read_binary_frame
 from repro.service.protocol import Request, problem_to_payload
+from repro.service.server import LOOP_MAX_CONFIGS
 
 
 @pytest.fixture()
@@ -236,6 +241,96 @@ class TestAdmissionControl:
         assert client.metrics()["admission"]["admitted"] == 0
 
 
+class TestLoopPath:
+    """Bounded requests run on the event loop: an ``optimize`` of at most
+    LOOP_MAX_CONFIGS configurations and a warm ``calibrate-report``."""
+
+    def test_bounded_requests_answer_while_the_budget_is_full(self, server):
+        address = server.bound_address
+        n = space_size("cores")
+        rates, powers = _curves(n)
+        server.service.registry.publish("kmeans", TradeoffEstimate(
+            rates=rates, powers=powers, estimator_name="leo"))
+        with _budget_held(address), \
+                ServiceClient(address, timeout=30.0) as c:
+            solved = c.call("optimize", _optimize_payload(1024))
+            warm = c.calibrate_report("kmeans", space="cores",
+                                      estimator="leo")
+            # A forced calibration and a large optimize still need a
+            # worker, so they are shed as before.
+            with pytest.raises(ServiceOverloaded):
+                c.calibrate_report("kmeans", space="cores",
+                                   estimator="leo", force=True)
+            with pytest.raises(ServiceOverloaded):
+                c.call("optimize", _optimize_payload(LOOP_MAX_CONFIGS + 1))
+            admission = c.metrics()["admission"]
+        assert admission["admitted"] == 2
+        assert solved["energy"] > 0
+        assert warm["source"] == "registry" and warm["samples_used"] == 0
+        assert warm["rates"].tobytes() == rates.tobytes()
+
+    def test_warm_read_builds_no_context(self, server, client):
+        n = space_size("paper")
+        rates, powers = _curves(n)
+        server.service.registry.publish("kmeans", TradeoffEstimate(
+            rates=rates, powers=powers, estimator_name="leo"))
+        misses = default_context.cache_info().misses
+        warm = client.calibrate_report("kmeans", space="paper", seed=4242,
+                                       estimator="leo")
+        assert default_context.cache_info().misses == misses
+        assert warm["source"] == "registry" and warm["num_configs"] == n
+        assert warm["powers"].tobytes() == powers.tobytes()
+
+    def test_expired_loop_request_never_starts(self, server, client):
+        # A frozen client clock sends the 1 ns budget to the server
+        # instead of spending it before the request leaves.
+        with ServiceClient(server.bound_address, timeout=30.0,
+                           clock=VirtualClock()) as frozen:
+            with pytest.raises(DeadlineExceeded):
+                frozen.call("optimize", _optimize_payload(1024),
+                            deadline_s=1e-9)
+        client.sleep(0.0)  # the one worker has run whatever was queued
+        counters = client.metrics()["metrics"]["counters"]
+        assert counters["service_deadline_exceeded_total"] == 1
+        assert counters.get("lp_resolves_total", 0) == 0
+
+    def test_ping_stays_prompt_while_optimizes_stream(self, server):
+        """Four connections stream 1024-config optimizes, each run on
+        the loop; a ping between them still answers promptly.  The
+        streams share this interpreter's GIL with the server, so the
+        bound is loose."""
+        address = server.bound_address
+        payload = _optimize_payload(1024)
+        stop = threading.Event()
+        served = []
+
+        def stream():
+            with ServiceClient(address, timeout=30.0) as c:
+                count = 0
+                while not stop.is_set():
+                    c.call("optimize", payload)
+                    count += 1
+                served.append(count)
+
+        threads = [threading.Thread(target=stream) for _ in range(4)]
+        for t in threads:
+            t.start()
+        latencies = []
+        try:
+            with ServiceClient(address, timeout=30.0) as c:
+                for _ in range(40):
+                    started = time.perf_counter()
+                    assert c.ping()["pong"] is True
+                    latencies.append(time.perf_counter() - started)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(30.0)
+        assert len(served) == 4 and min(served) > 0
+        assert statistics.median(latencies) < 0.05, latencies
+        assert max(latencies) < 0.5, latencies
+
+
 class TestDeadlines:
     def test_expired_deadline_returns_typed_error(self, client):
         started = time.monotonic()
@@ -325,6 +420,19 @@ class TestServiceDirect:
             EstimationService().handle(
                 Request(op="sleep", payload={"seconds": -1}))
 
+    def test_warm_reply_none_when_it_must_calibrate(self, tmp_path):
+        payload = {"app": "kmeans", "space": "cores", "estimator": "leo"}
+        assert EstimationService().warm_reply(payload) is None
+        service = EstimationService(registry=ModelRegistry(tmp_path / "r"))
+        assert service.warm_reply(payload) is None  # nothing published
+        rates, powers = _curves(space_size("cores"))
+        service.registry.publish("kmeans", TradeoffEstimate(
+            rates=rates, powers=powers, estimator_name="leo"))
+        assert service.warm_reply(payload)["source"] == "registry"
+        assert service.warm_reply(dict(payload, force=True)) is None
+        with pytest.raises(RequestRejected):
+            service.warm_reply(dict(payload, samples=0))
+
     def test_registry_list_without_registry(self):
         payload = EstimationService().handle(Request(op="registry-list"))
         assert payload == {"models": [], "applications": []}
@@ -370,6 +478,33 @@ class TestLifecycle:
         with ServerThread(EstimationService()) as thread:
             with pytest.raises(RuntimeError):
                 thread.start()
+
+
+def _curves(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(1.0, 40.0, n), rng.uniform(80.0, 250.0, n)
+
+
+def _optimize_payload(n):
+    rates, powers = _curves(n)
+    return {"rates": rates, "powers": powers, "idle_power": 50.0,
+            "work": 0.5 * float(rates.max()) * 10.0, "deadline": 10.0}
+
+
+@contextlib.contextmanager
+def _budget_held(address):
+    """Two sleeps hold the whole budget of the ``server`` fixture (one
+    worker, bound 2) for at least their first 1.2 s."""
+    threads = [threading.Thread(
+        target=lambda: _swallow(Exception, address)) for _ in range(2)]
+    for t in threads:
+        t.start()
+    try:
+        _wait_for_admitted(address, 2)
+        yield
+    finally:
+        for t in threads:
+            t.join(30.0)
 
 
 def _swallow(exc_type, address, seconds=1.2):
